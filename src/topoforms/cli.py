@@ -294,10 +294,23 @@ def _build():
     return p
 
 
+def _attach_form_values(argv):
+    # argparse takes a value such as -3,5,7 for an option; pass a --form
+    # value that starts with a minus sign as --form=-3,5,7
+    out = []
+    for tok in argv:
+        if (out and out[-1] == "--form" and tok[:1] == "-"
+                and tok[1:2].isdigit()):
+            out[-1] = f"--form={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def run(argv):
     parser = _build()
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(_attach_form_values(argv))
         if not getattr(ns, "fn", None):
             parser.print_help()
             return 1

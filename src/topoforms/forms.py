@@ -178,18 +178,28 @@ def mobius(m, x):
 
 
 def turn_sequence_matrix(word):
-    """Product of the word's letters: L^a0 R^a1 ... (S allowed, exponent 1)."""
-    m = ID
+    """Product of the word's letters: L^a0 R^a1 ... (S allowed, exponent 1).
+
+    The letters are multiplied pairwise, level by level, so that a long word
+    whose product has large entries costs a few full-size products rather
+    than one per letter."""
+    mats = []
     for letter, e in word:
         if letter == "L":
-            m = m @ UniMat(1, e, 0, 1)
+            mats.append(UniMat(1, e, 0, 1))
         elif letter == "R":
-            m = m @ UniMat(1, 0, e, 1)
+            mats.append(UniMat(1, 0, e, 1))
         elif letter == "S":
-            m = m @ MAT_S
+            mats.append(MAT_S)
         else:
             raise DomainError(f"unknown letter {letter!r}")
-    return m
+    while len(mats) > 1:
+        pairs = iter(mats)
+        paired = [x @ y for x, y in zip(pairs, pairs)]
+        if len(mats) % 2:
+            paired.append(mats[-1])
+        mats = paired
+    return mats[0] if mats else ID
 
 
 def content_split(q):

@@ -2,11 +2,12 @@
 Zagier steps and the Omega_D parametrization of Zagier-reduced forms."""
 
 from dataclasses import dataclass
-from math import gcd
+from itertools import chain
 
 from .contfrac import lr_decompose, normalize_parity, real_cf
 from .exact import DomainError, Rat, Surd, is_square, isqrt, surd_floor
 from .forms import ID, MAT_S, QuadForm, UniMat, act, roots, turn_sequence_matrix
+from .topograph import block_step, river_blocks, root_path
 
 
 @dataclass(frozen=True)
@@ -148,44 +149,29 @@ def reduce_simple_cycle(q):
     D = q.discriminant()
     if D <= 0 or is_square(D):
         raise DomainError("reduce_simple_cycle needs non-square D > 0")
-    mat = ID
-    steps = []
-    cur = q
-    letter = "L"
-    guard = 0
-    while not is_simple(cur):
-        z = roots(cur).first
-        k = surd_floor(z) if letter == "L" else surd_floor(z.invert())
-        if k != 0:
-            lmat = (UniMat(1, k, 0, 1) if letter == "L"
-                    else UniMat(1, 0, k, 1))
-            mat = mat @ lmat
-            steps.append((letter, k))
-            cur = act(cur, lmat)
-        letter = "R" if letter == "L" else "L"
-        guard += 1
-        if guard > 10000:  # pragma: no cover
-            raise AssertionError("root path failed to reach the river")
-    # walk one full river period collecting the simply reduced forms
-    anchor = cur
-    collected = []  # (form, matrix from q, steps length)
-    walk_mat = mat
-    walk_steps = list(steps)
-    while True:
-        if is_simply_reduced(cur):
-            collected.append((cur, walk_mat, tuple(walk_steps)))
-        turn = "L" if cur.a + cur.b + cur.c < 0 else "R"
-        lmat = UniMat(1, 1, 0, 1) if turn == "L" else UniMat(1, 0, 1, 1)
-        walk_mat = walk_mat @ lmat
-        walk_steps.append((turn, 1))
-        cur = act(cur, lmat)
-        if cur == anchor:
-            break
-    best = min(range(len(collected)), key=lambda i: collected[i][0])
-    cycle = tuple(f for f, _, _ in
-                  collected[best:] + collected[:best])
-    _, m0, st0 = collected[best]
-    return ReductionResult(cycle, m0, st0)
+    root = root_path(q)
+    period = river_blocks(root.form)
+    # on the river a > 0 > c, where |a + c| < |b| reads a - c < sqrt D
+    # (b^2 = D + 4ac); a - c is concave in the turn count along a block, so
+    # a block's simply reduced forms fill a prefix and a suffix of it
+    collected = []  # (form, block index, turns into the block)
+    for i, ((letter, k), f) in enumerate(zip(period.word, period.forms)):
+        lo = 0
+        while lo < k and is_simply_reduced(block_step(f, letter, lo)):
+            lo += 1
+        hi = k
+        while hi > lo and is_simply_reduced(block_step(f, letter, hi - 1)):
+            hi -= 1
+        for j in chain(range(lo), range(hi, k)):
+            collected.append((block_step(f, letter, j), i, j))
+    best = min(range(len(collected)), key=lambda n: collected[n][0])
+    cycle = tuple(f for f, _, _ in collected[best:] + collected[:best])
+    _, i, j = collected[best]
+    word = period.word[:i] + ((period.word[i][0], j),)
+    steps = root.word + tuple((letter, 1) for letter, k in word
+                              for _ in range(k))
+    return ReductionResult(cycle, turn_sequence_matrix(root.word + word),
+                           steps)
 
 
 # ------------------------------------------------------- Gauss and Zagier

@@ -7,7 +7,9 @@ from math import gcd
 
 from .classnum import euler_phi, h_neg, h_pos
 from .exact import DomainError, Surd, is_square, isqrt
-from .forms import MAT_L, MAT_R, ID, QuadForm, UniMat, act
+from .forms import (MAT_L, MAT_R, ID, QuadForm, UniMat, act,
+                    turn_sequence_matrix)
+from .topograph import river_blocks
 
 
 @dataclass(frozen=True)
@@ -17,7 +19,7 @@ class PellSolution:
     sign: int  # +4 or -4
 
 
-_SWITCH = {"L": "R", "R": "L", "0": "1", "1": "0"}
+_SWITCH = {"0": "1", "1": "0"}
 
 
 class Necklace:
@@ -66,36 +68,12 @@ def _check_real(D):
         raise DomainError("discriminant must be 0 or 1 mod 4")
 
 
-def _river_letters_from(q0):
-    """L/R letters of one river period starting at the simple form q0."""
-    letters = []
-    m = ID
-    cur = q0
-    while True:
-        if cur.a + cur.b + cur.c < 0:
-            letters.append("L")
-            m = m @ MAT_L
-            cur = act(cur, MAT_L)
-        else:
-            letters.append("R")
-            m = m @ MAT_R
-            cur = act(cur, MAT_R)
-        if cur == q0:
-            return letters, m
-
-
 def river_period(D):
     """One period of the principal river as a run-length word plus its
     matrix product M = L^a0 R^a1 ..."""
     _check_real(D)
-    letters, m = _river_letters_from(principal_form(D))
-    word = []
-    for letter in letters:
-        if word and word[-1][0] == letter:
-            word[-1] = (letter, word[-1][1] + 1)
-        else:
-            word.append((letter, 1))
-    return word, m
+    word = river_blocks(principal_form(D)).word
+    return list(word), turn_sequence_matrix(word)
 
 
 def pell_fundamental(D):
@@ -118,22 +96,27 @@ def _word_matrix(letters):
 
 def negative_pell(D):
     """The fundamental solution of t^2 - D u^2 = -4, if the river necklace
-    factors as X followed by its letter-switched copy; None otherwise."""
+    factors as X followed by its letter-switched copy; None otherwise.
+
+    Read cyclically, the principal river period is B alternating blocks.
+    It has that shape exactly when B/2 is odd, so that block i and block
+    i + B/2 carry different letters, and every block i has the length of
+    block i + B/2; X is then the first B/2 blocks, and (t, u) is read off
+    its matrix and checked against the equation."""
     _check_real(D)
-    letters, _ = _river_letters_from(principal_form(D))
-    n = len(letters)
-    if n % 2:
+    blocks = list(river_blocks(principal_form(D)).word)
+    if len(blocks) > 1 and blocks[0][0] == blocks[-1][0]:
+        letter, k = blocks.pop()
+        blocks[0] = (letter, blocks[0][1] + k)
+    half = len(blocks) // 2
+    if half % 2 == 0 or any(blocks[i][1] != blocks[i + half][1]
+                            for i in range(half)):
         return None
-    for shift in range(n):
-        rot = letters[shift:] + letters[:shift]
-        half = n // 2
-        x, y = rot[:half], rot[half:]
-        if y == [_SWITCH[c] for c in x]:
-            al, be, ga, de = _word_matrix(x)
-            t = be + ga
-            u = gcd(gcd(de, ga - be), al)
-            if t > 0 and t * t - D * u * u == -4:
-                return PellSolution(t, u, -4)
+    al, be, ga, de = turn_sequence_matrix(blocks[:half])
+    t = be + ga
+    u = gcd(gcd(de, ga - be), al)
+    if t > 0 and t * t - D * u * u == -4:
+        return PellSolution(t, u, -4)
     return None
 
 
@@ -196,11 +179,11 @@ def necklace_of(x):
         D = x.discriminant()
         _check_real(D)
         anchor = reduce_simple_cycle(x).canonical[0]
-        letters, _ = _river_letters_from(anchor)
     else:
         _check_real(x)
-        letters, _ = _river_letters_from(principal_form(x))
-    return Necklace("".join("0" if c == "L" else "1" for c in letters))
+        anchor = principal_form(x)
+    word = river_blocks(anchor).word
+    return Necklace("".join(("0" if c == "L" else "1") * k for c, k in word))
 
 
 def topograph_of_necklace(n):

@@ -51,6 +51,11 @@ class SeriesReport:
         })
 
 
+def _check_depth(depth):
+    if depth < 0:
+        raise DomainError(f"depth must be >= 0, got {depth}")
+
+
 # ----------------------------------------------------------- definite sums
 
 def _neg_scan(q, checkpoints):
@@ -58,6 +63,7 @@ def _neg_scan(q, checkpoints):
     reported at each requested depth."""
     if q.discriminant() >= 0:
         raise DomainError("needs negative discriminant")
+    _check_depth(min(checkpoints))
     if q.a < 0:
         q = -q
     maxdepth = max(checkpoints)
@@ -128,6 +134,7 @@ def hurwitz_series(D, depth):
         raise DomainError("needs negative discriminant")
     if D % 4 not in (0, 1):
         raise DomainError("discriminant must be 0 or 1 mod 4")
+    _check_depth(depth)
     total = []
     terms = 0
     for q in _all_reduced_neg(D):
@@ -175,6 +182,7 @@ def series_pos(q, depth):
     D = q.discriminant()
     if D <= 0 or is_square(D):
         raise DomainError("needs non-square D > 0")
+    _check_depth(depth)
     river = find_river(q)
     sqD = math.sqrt(D)
     d32 = D ** 1.5
@@ -234,6 +242,7 @@ def series_square(q, depth):
     D = q.discriminant()
     if D <= 0 or not is_square(D):
         raise DomainError("needs square D > 0")
+    _check_depth(depth)
     m = isqrt(D)
     r = reduce_square(q).canonical.c
     g0 = gcd(m, r)
@@ -305,8 +314,8 @@ def series_square(q, depth):
     v1 = fsum(sums1) + W1(r / m) + W1(s_res / m)
     v2 = fsum(sums2) + (W2(r / m) + W2(s_res / m) + 1) / 3
     if m == 1:
-        v1 += 2
-        v2 += 8 / 3
+        v1 -= 2
+        v2 -= 8 / 3
     target = 2 * log(m / (2 * g0))
     return (SeriesReport("sq", D, depth, v1, target, terms),
             SeriesReport("sq2", D, depth, v2, target, terms))

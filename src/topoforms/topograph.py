@@ -1,5 +1,6 @@
 """Topograph navigation: directed-edge cursors, vertex views, BFS, river and
-well location, and dot/json export.
+well location, the integer block walk along root paths and rivers, and
+dot/json export.
 
 The tree is never materialized; a cursor is a form plus the turn word that
 produced it, and every neighbour is reached by one of the moves of step().
@@ -7,18 +8,76 @@ produced it, and every neighbour is reached by one of the moves of step().
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
 
-from .exact import DomainError, is_square, surd_floor
-from .forms import QuadForm, roots
+from .exact import DomainError, is_square, isqrt
+from .forms import QuadForm
+
+
+class TurnPath:
+    """An immutable sequence of turns stored as runs, each run a node that
+    shares the path it extends: `then` is O(1) and never copies the prefix.
+
+    It iterates its turns, has a length, and compares and hashes equal to
+    the tuple of its turns, so `TurnPath().then("L", 2) == ("L", "L")`.
+    """
+
+    __slots__ = ("prefix", "turn", "count", "_len")
+
+    def __init__(self, prefix=None, turn=None, count=0):
+        self.prefix = prefix  # the TurnPath this run extends, or None
+        self.turn = turn
+        self.count = count
+        self._len = count + (prefix._len if prefix is not None else 0)
+
+    @classmethod
+    def of(cls, turns):
+        path = cls()
+        for turn in turns:
+            path = path.then(turn)
+        return path
+
+    def then(self, turn, count=1):
+        """This path followed by `count` copies of `turn`."""
+        if count == 0:
+            return self
+        if turn == self.turn:
+            return TurnPath(self.prefix, turn, self.count + count)
+        return TurnPath(self, turn, count)
+
+    def __len__(self):
+        return self._len
+
+    def __iter__(self):
+        runs = []
+        node = self
+        while node is not None:
+            runs.append(node)
+            node = node.prefix
+        for run in reversed(runs):
+            yield from repeat(run.turn, run.count)
+
+    def __eq__(self, other):
+        if not isinstance(other, (TurnPath, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            x == y for x, y in zip(self, other))
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return f"TurnPath({tuple(self)!r})"
 
 
 @dataclass(frozen=True)
 class EdgeCursor:
     """A directed edge carrying `form`; `path` records the turns from the
-    declared root (provenance only, it never affects navigation)."""
+    declared root (provenance only, it never affects navigation).  step()
+    makes it a TurnPath; a plain tuple of turns is accepted as a start."""
 
     form: QuadForm
-    path: tuple = ()
+    path: TurnPath = TurnPath()
 
 
 @dataclass(frozen=True)
@@ -55,7 +114,10 @@ def step(cur, turn):
         f = _STEPS[turn]
     except KeyError:
         raise DomainError(f"unknown turn {turn!r}") from None
-    return EdgeCursor(QuadForm(*f(*cur.form)), cur.path + (turn,))
+    path = cur.path
+    if not isinstance(path, TurnPath):
+        path = TurnPath.of(path)
+    return EdgeCursor(QuadForm(*f(*cur.form)), path.then(turn))
 
 
 def head_view(cur):
@@ -126,9 +188,126 @@ def find_well(q):
         cur = step(back, "R") if 2 * a - b < 0 else step(back, "L")
 
 
-def _simple(form):
-    a, _, c = form
-    return a > 0 > c
+# ------------------------------------------------------------- block walk
+#
+# For non-square D > 0 a whole partial quotient is one step: L^k = (1 k; 0 1)
+# and R^k = (1 0; k 1) move a form by
+#     [a, b, c] | L^k = [a, b + 2ka, a k^2 + b k + c]
+#     [a, b, c] | R^k = [a + b k + c k^2, b + 2kc, c]
+# and every k is an exact integer floor of a root (b' +- sqrt(D)) / (2a')
+# computed with s = isqrt(D) once.
+
+def _floor_root(p, sign, r, s):
+    # floor((p + sign * sqrt(D)) / r) for non-square D with s = isqrt(D)
+    if r < 0:
+        p, sign, r = -p, -sign, -r
+    return (p + s) // r if sign > 0 else (p - s - 1) // r
+
+
+def block_step(form, letter, k):
+    """form | L^k or form | R^k, for any integer k."""
+    a, b, c = form
+    if letter == "L":
+        return QuadForm(a, b + 2 * k * a, (a * k + b) * k + c)
+    return QuadForm((c * k + b) * k + a, b + 2 * k * c, c)
+
+
+def _needs_real(D):
+    if D <= 0 or is_square(D):
+        raise DomainError("the block walk needs non-square D > 0")
+
+
+@dataclass(frozen=True)
+class RootPath:
+    """The first root's continued fraction from a form to its river, in
+    whole blocks: `word` holds the nonzero (letter, k) blocks up to the first
+    block that ends on a simple form (a > 0 > c), `form` is that form, and
+    `overshoot` counts the unit turns of the last block taken after the walk
+    first met a simple form."""
+
+    word: tuple
+    form: QuadForm
+    overshoot: int
+
+
+def root_path(q):
+    """Walk q's first root zeta = (-b + sqrt D)/(2a) to the river: L blocks
+    of floor(zeta), R blocks of floor(1/zeta), alternately, as in its
+    continued fraction.  The number of blocks is bounded by a multiple of
+    the coefficients' bit length."""
+    D = q.discriminant()
+    _needs_real(D)
+    s = isqrt(D)
+    a, b, c = q
+    cap = 10 * (abs(a) + abs(b) + abs(c)).bit_length() + 64
+    word = []
+    letter = "L"
+    overshoot = 0
+    for _ in range(cap):
+        if a > 0 > c:
+            return RootPath(tuple(word), QuadForm(a, b, c), overshoot)
+        # L takes floor(zeta) turns and R floor(1/zeta), where
+        # 1/zeta = (-b - sqrt D)/(2c)
+        sign, r = (1, 2 * a) if letter == "L" else (-1, 2 * c)
+        k = _floor_root(-b, sign, r, s)
+        if k:
+            word.append((letter, k))
+            na, nb, nc = block_step((a, b, c), letter, k)
+            if k > 0 and na > 0 > nc:
+                # turn j of the block lands on a simple form exactly when j
+                # lies between the two roots of the form's values there
+                first = max(1, _floor_root(-b, -sign, r, s) + 1)
+                overshoot = k - first
+            a, b, c = na, nb, nc
+        letter = "R" if letter == "L" else "L"
+    raise AssertionError("root path failed to reach the river")
+
+
+@dataclass(frozen=True)
+class RiverBlocks:
+    """One river period from a simple form as a run-length word: block i is
+    (letter, k), with matrix L^k = (1 k; 0 1) or R^k = (1 0; k 1), and
+    starts at the simple form forms[i]; forms[0] is the starting form and
+    the product of the blocks fixes it."""
+
+    word: tuple
+    forms: tuple
+
+
+def river_blocks(q0):
+    """One period of the river through the simple form q0 (a > 0 > c),
+    a whole run of equal turns per step.  From [a, b, c] the river turns L
+    floor((-b + sqrt D)/(2a)) times, or R floor((b + sqrt D)/(-2c)) times;
+    the period ends where a block passes q0 again, possibly mid-block."""
+    D = q0.discriminant()
+    _needs_real(D)
+    a0, b0, c0 = q0
+    if not a0 > 0 > c0:
+        raise DomainError("the river walk starts at a simple form a > 0 > c")
+    s = isqrt(D)
+    word = []
+    forms = []
+    cur = q0
+    letter = "L" if a0 + b0 + c0 < 0 else "R"
+    while True:
+        a, b, c = cur
+        forms.append(cur)
+        # an L block keeps a and adds 2a to b at each turn, an R block keeps
+        # c and adds 2c; it passes q0 when q0 lies on that line
+        if letter == "L":
+            k = (s - b) // (2 * a)
+            on_line, inc = a == a0, 2 * a
+        else:
+            k = (s + b) // (-2 * c)
+            on_line, inc = c == c0, 2 * c
+        if on_line:
+            back, off = divmod(b0 - b, inc)
+            if off == 0 and 0 < back <= k:
+                word.append((letter, back))
+                return RiverBlocks(tuple(word), tuple(forms))
+        word.append((letter, k))
+        cur = block_step(cur, letter, k)
+        letter = "R" if letter == "L" else "L"
 
 
 def find_river(q):
@@ -139,34 +318,28 @@ def find_river(q):
         raise DomainError("find_river needs positive discriminant")
     if is_square(D):
         return _find_river_square(q)
-    cur = EdgeCursor(q)
-    # follow the root path of the first root: alternate L and R blocks whose
-    # sizes are the continued-fraction terms of zeta
-    letter = "L"
-    guard = 0
-    while not _simple(cur.form):
-        z = roots(cur.form).first
-        k = surd_floor(z) if letter == "L" else surd_floor(z.invert())
-        turn = letter if k >= 0 else ("Li" if letter == "L" else "Ri")
-        for _ in range(abs(k)):
-            cur = step(cur, turn)
-            if _simple(cur.form):
-                break
-        letter = "R" if letter == "L" else "L"
-        guard += 1
-        if guard > 10000:  # pragma: no cover
-            raise AssertionError("root path failed to reach the river")
-    anchor = cur.form
+    # the period starts at the first simple form on the first root's path
+    root = root_path(q)
+    path = TurnPath()
+    for letter, k in root.word:
+        path = path.then(letter if k > 0 else letter + "i", abs(k))
+    anchor = root.form
+    if root.overshoot:
+        letter, _ = root.word[-1]
+        anchor = block_step(anchor, letter, -root.overshoot)
+        path = TurnPath(path.prefix, path.turn, path.count - root.overshoot)
     edges = []
     word = []
-    while True:
-        edges.append(cur)
-        a, b, c = cur.form
-        turn = "L" if a + b + c < 0 else "R"
-        word.append(turn)
-        cur = step(cur, turn)
-        if cur.form == anchor:
-            break
+    period = river_blocks(anchor)
+    for (letter, k), (a, b, c) in zip(period.word, period.forms):
+        for j in range(k):
+            edges.append(EdgeCursor(QuadForm(a, b, c), path.then(letter, j)))
+            if letter == "L":
+                a, b, c = a, b + 2 * a, a + b + c
+            else:
+                a, b, c = a + b + c, b + 2 * c, c
+        word.extend(repeat(letter, k))
+        path = path.then(letter, k)
     return RiverDescriptor("periodic", tuple(edges), tuple(word))
 
 
@@ -198,6 +371,10 @@ def export(root, max_depth, fmt):
     """Serialize the BFS ball around the root as dot or json."""
     if fmt not in ("dot", "json"):
         raise DomainError(f"unknown format {fmt!r}")
+    if max_depth < 0:
+        raise DomainError("negative depth")
+    if not any(root.form):
+        raise DomainError("the zero form has no topograph")
     D = root.form.discriminant()
     records = []  # (id, regions, out_labels, parent, turn, edge_form)
     v = tail_view(root)

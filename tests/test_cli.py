@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from topoforms.cli import run
 
 
@@ -26,6 +28,15 @@ def test_reduce_simple_cycle(capsys):
     doc = _json_out(capsys, ["reduce", "--form", "1,0,-24", "--json"])
     assert doc["method"] == "simple"
     assert len(doc["canonical"]) > 1
+
+
+def test_reduce_negative_first_coefficient(capsys):
+    # -3,5,7 is a value, not an option
+    doc = _json_out(capsys, ["reduce", "--form", "-3,5,7", "--json"])
+    assert doc["input"] == ["-3", "5", "7"] and doc["method"] == "simple"
+    assert doc == _json_out(capsys, ["reduce", "--form=-3,5,7", "--json"])
+    doc = _json_out(capsys, ["reduce", "--form", "-2,-2,-3", "--json"])
+    assert doc["canonical"] == [["2", "2", "3"]]
 
 
 def test_reduce_plain_output(capsys):
@@ -77,6 +88,12 @@ def test_river(capsys):
     assert doc["kind"] == "periodic" and doc["word"] == "LLLLRLLLL"
 
 
+def test_river_negative_first_coefficient(capsys):
+    doc = _json_out(capsys, ["river", "--form", "-24,0,1", "--json"])
+    assert doc["kind"] == "periodic" and len(doc["word"]) == 9
+    assert doc == _json_out(capsys, ["river", "--form=-24,0,1", "--json"])
+
+
 def test_topograph_export_roundtrip(capsys):
     assert run(["topograph", "--form", "2,1,3", "--depth", "3",
                 "--format", "json"]) == 0
@@ -116,3 +133,18 @@ def test_exit_codes(capsys):
     assert run(["pell", "--disc", "16"]) == 2  # square discriminant
     assert run(["word", "--disc", "5"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "--theorem", "mik", "--disc", "-20", "--depth", "-1"],
+    ["series", "--theorem", "hurwitz", "--disc", "-20", "--depth", "-1"],
+    ["series", "--theorem", "mt", "--disc", "96", "--depth", "-1"],
+    ["series", "--theorem", "mt2", "--disc", "96", "--depth", "-1"],
+    ["series", "--theorem", "sq", "--disc", "9", "--depth", "-1"],
+    ["topograph", "--form", "1,1,1", "--depth", "-3"],
+    ["topograph", "--form", "0,0,0"],
+])
+def test_out_of_domain_input_exits_2(capsys, argv):
+    assert run(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("domain error: ")

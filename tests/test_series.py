@@ -92,6 +92,27 @@ def test_series_square():
         series_square(QuadForm(1, 0, -24), 3)
 
 
+def test_series_square_d1():
+    # D = 1 has no river; the sums converge to 2 log(1/2) with the same
+    # bounds as D = 9
+    r1, r2 = series_square(QuadForm(0, 1, 1), 12)
+    assert r1.target == pytest.approx(2 * math.log(1 / 2))
+    assert abs(r1.residual) < 5e-3
+    assert abs(r2.residual) < 1e-4
+
+
+@pytest.mark.parametrize("call", [
+    lambda: series_neg(QuadForm(1, 1, 1), -1),
+    lambda: series_neg_profile(QuadForm(1, 1, 1), [2, -1]),
+    lambda: hurwitz_series(-20, -1),
+    lambda: series_pos(QuadForm(3, -6, -5), -1),
+    lambda: series_square(QuadForm(0, 3, 1), -1),
+])
+def test_negative_depth_is_a_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_series_seed():
     assert series_seed(-20) == QuadForm(1, 0, 5)
     assert series_seed(96) == QuadForm(3, -6, -5)  # shortest river period

@@ -134,3 +134,7 @@ def test_export_dot():
     assert out.count("->") == 9  # 10 vertices, 9 tree edges
     with pytest.raises(DomainError):
         export(EdgeCursor(QuadForm(1, 1, 1)), 2, "xml")
+    with pytest.raises(DomainError):
+        export(EdgeCursor(QuadForm(1, 1, 1)), -3, "dot")
+    with pytest.raises(DomainError):
+        export(EdgeCursor(QuadForm(0, 0, 0)), 3, "dot")
