@@ -8,14 +8,39 @@ then h(D) is
 
 with gcd 1 everywhere, the last sum for even D only, and the first two sums
 restricted to all-odd solutions for odd D and to not-all-odd ones for even D.
-Dropping the gcd conditions and weighting the extra solution families by
-1/3 and 1/2 gives the Hurwitz count H; weighting them by 1 gives h*.
+Dropping the gcd conditions and the not-all-odd restriction, and taking
+e >= f in the last sum, counts every class of D once, primitive or not:
+that is h*(D).  The solutions e = f of e^2+2ef = n and of ef = n stand for
+the classes of j[1,1,1] (|D| = 3j^2) and j[1,0,1] (|D| = 4j^2); weighting
+them by 1/3 and 1/2 instead gives the Hurwitz count H.  Every class of D is
+k times a primitive class of D/k^2 for exactly one k, so
+
+    h(D) = sum of mu(k) h*(D/k^2) over k^2 | D with D/k^2 a discriminant,
+
+which equals the gcd-1 count above.
+
+One kernel counts h*, by a scalar path and a table path.  The scalar path
+reads the triples off (e+g)(f+g) = n + g^2: for each g, f + g runs over the
+divisors of n + g^2 in (2g, sqrt(n + g^2)), by steps of 2 for all-odd
+solutions (g odd, both factors even); the other two families come from the
+divisors of n.  A count costs O(n), against Theta(n^1.5) for enumerating
+every triple with ef+fg+ge <= n.  The table path gives h*(D) for every
+-limit <= D < 0 at once: for fixed (f, g) the sums over e > f form a
+progression with stride f + g (2(f + g) all-odd), added as one numpy slice,
+O(limit) slices in all.
 """
 
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
 from .exact import DomainError, is_square, isqrt
+from .reduce import z_forms, zagier_step
+
+# H weighs the classes j[1,1,1] (|D| = 3j^2) and j[1,0,1] (|D| = 4j^2), which
+# h* counts once, by the inverse orders of their automorph groups modulo -1
+_AUT_WEIGHTS = ((3, Fraction(1, 3)), (4, Fraction(1, 2)))
 
 
 def euler_phi(m):
@@ -34,9 +59,9 @@ def euler_phi(m):
     return out
 
 
-def mobius(m):
+def moebius_mu(m):
     if m <= 0:
-        raise DomainError("mobius of non-positive integer")
+        raise DomainError("moebius_mu of non-positive integer")
     out = 1
     p = 2
     while p * p <= m:
@@ -58,67 +83,51 @@ def _check_disc_neg(D):
         raise DomainError("discriminant must be 0 or 1 mod 4")
 
 
-def _triples(nmax):
-    # e > f > g > 0 with s = ef+fg+ge <= nmax
+def _check_limit(limit):
+    if limit < 0:
+        raise DomainError("table limit must be >= 0")
+
+
+def _wells(n, odd):
+    """h* of D = -n (odd D) or D = -4n (even D), by the well count."""
+    step = 2 if odd else 1
+    total = 0
     g = 1
-    while 3 * g * g + 6 * g + 2 <= nmax:
-        f = g + 1
-        while f * (f + 1) + g * (2 * f + 1) <= nmax:
-            base = f * g
-            stride = f + g
-            e = f + 1
-            s = base + e * stride
-            while s <= nmax:
-                yield s, e, f, g
-                e += 1
-                s += stride
-            f += 1
-        g += 1
+    while 3 * g * g < n:
+        m = n + g * g
+        # f + g = d and e + g = m/d with 2g < d < m/d
+        total += sum(2 for d in range(2 * g + step, isqrt(m - 1) + 1, step)
+                     if m % d == 0 and not (odd and m // d % 2))
+        g += step
+    for d in range(1, isqrt(n) + 1):
+        if n % d:
+            continue
+        t = n // d - d  # e = d and 2f = t in e(e + 2f) = n
+        if t > 0 and t % 2 == 0 and (not odd or t // 2 % 2):
+            total += 1
+        if not odd:  # f = d <= e = n/d in ef = n
+            total += 1
+    return total
 
 
-def _pairs_sq(nmax):
-    # e, f > 0 with s = e^2 + 2ef <= nmax
-    e = 1
-    while e * e + 2 * e <= nmax:
-        f = 1
-        s = e * e + 2 * e
-        while s <= nmax:
-            yield s, e, f
-            f += 1
-            s += 2 * e
-        e += 1
+def _hurwitz_weight(n, count):
+    """H(n) from the class count h*(-n)."""
+    for c, w in _AUT_WEIGHTS:
+        if n % c == 0 and is_square(n // c):
+            return count - 1 + w
+    return Fraction(count)
 
 
 def h_neg(D):
     """Primitive class number of a negative discriminant."""
     _check_disc_neg(D)
-    if D in (-3, -4):
-        return 1
-    odd = D % 2 != 0
-    n = -D if odd else -D // 4
     total = 0
-    for s, e, f, g in _triples(n):
-        if s != n:
-            continue
-        allodd = e & f & g & 1
-        if (odd and not allodd) or (not odd and allodd):
-            continue
-        if gcd(gcd(e, f), g) == 1:
-            total += 2
-    for s, e, f in _pairs_sq(n):
-        if s != n:
-            continue
-        allodd = e & f & 1
-        if (odd and not allodd) or (not odd and allodd):
-            continue
-        if gcd(e, f) == 1:
-            total += 1
-    if not odd:
-        f = 1
-        while f * f < n:
-            if n % f == 0 and gcd(f, n // f) == 1:
-                total += 1
-            f += 1
+    for k in range(1, isqrt(-D) + 1):
+        q, r = divmod(D, k * k)
+        if r == 0 and q % 4 in (0, 1):
+            mu = moebius_mu(k)
+            if mu:
+                total += mu * hstar_neg(q)
     return total
 
 
@@ -128,61 +137,14 @@ def hurwitz(n):
         raise DomainError("hurwitz needs n > 0")
     if n % 4 not in (0, 3):
         raise DomainError("hurwitz needs n = 0 or 3 mod 4")
-    odd = n % 4 == 3
-    inner = n if odd else n // 4
-    total = Fraction(0)
-    for s, e, f, g in _triples(inner):
-        if s != inner:
-            continue
-        if odd and not (e & f & g & 1):
-            continue
-        total += 2
-    for s, e, f in _pairs_sq(inner):
-        if s != inner or e == f:
-            continue
-        if odd and not (e & f & 1):
-            continue
-        total += 1
-    if inner % 3 == 0 and is_square(inner // 3):
-        total += Fraction(1, 3)
-    if not odd:
-        f = 1
-        count = 0
-        while f * f <= inner:
-            if inner % f == 0:
-                count += 2 if f * f != inner else 1
-            f += 1
-        total += Fraction(count, 2)
-    return total
+    return _hurwitz_weight(n, hstar_neg(-n))
 
 
 def hstar_neg(D):
     """Number of all (primitive and imprimitive) classes of D < 0."""
     _check_disc_neg(D)
     odd = D % 2 != 0
-    n = -D if odd else -D // 4
-    total = 0
-    for s, e, f, g in _triples(n):
-        if s != n:
-            continue
-        if odd and not (e & f & g & 1):
-            continue
-        total += 2
-    for s, e, f in _pairs_sq(n):
-        if s != n or e == f:
-            continue
-        if odd and not (e & f & 1):
-            continue
-        total += 1
-    if n % 3 == 0 and is_square(n // 3):
-        total += 1
-    if not odd:
-        f = 1
-        while f * f <= n:
-            if n % f == 0:
-                total += 1
-            f += 1
-    return total
+    return _wells(-D if odd else -D // 4, odd)
 
 
 def h_square(D):
@@ -197,19 +159,22 @@ def h_square(D):
 
 
 def h_pos(D):
-    """Primitive class count for non-square D > 0, via simply-reduced
-    river cycles seeded from the Zagier * forms."""
-    from .reduce import reduce_simple_cycle, zstar_forms
-
+    """Primitive class count for non-square D > 0: the number of Zagier
+    cycles among the primitive Z-reduced forms, each form visited once."""
     if D <= 0 or is_square(D):
         raise DomainError("h_pos needs non-square D > 0")
     if D % 4 not in (0, 1):
         raise DomainError("discriminant must be 0 or 1 mod 4")
-    cycles = set()
-    for q in zstar_forms(D):
-        if q.content() == 1:
-            cycles.add(reduce_simple_cycle(q).canonical)
-    return len(cycles)
+    unseen = {q for q in z_forms(D) if q.content() == 1}
+    count = 0
+    while unseen:
+        start = unseen.pop()
+        q = zagier_step(start)
+        while q != start:
+            unseen.remove(q)
+            q = zagier_step(q)
+        count += 1
+    return count
 
 
 # ------------------------------------------------------ sums of three squares
@@ -321,81 +286,50 @@ def upsilon_odd(n):
 
 # -------------------------------------------------------------- batch tables
 
+def _wells_table(limit):
+    """h*(D) for every -limit <= D < 0 as an int64 array indexed by |D|, 0
+    where D is no discriminant."""
+    odd = np.zeros(limit + 1, np.int64)  # all-odd wells of n = |D|
+    even = np.zeros(limit // 4 + 1, np.int64)  # all wells of n = |D|/4
+    for sums, step in ((odd, 2), (even, 1)):
+        top = len(sums) - 1
+        g = 1
+        while 3 * g * g < top:
+            # ef+fg+ge = fg + e(f+g) over e > f > g
+            f = g + step
+            s = f * g + (f + step) * (f + g)
+            while s <= top:
+                sums[s::step * (f + g)] += 2
+                f += step
+                s = f * g + (f + step) * (f + g)
+            g += step
+        e = 1
+        while e * e + 2 * e <= top:  # e^2 + 2ef over f > 0
+            sums[e * e + 2 * e::2 * step * e] += 1
+            e += step
+    for f in range(1, isqrt(limit // 4) + 1):  # ef over e >= f
+        even[f * f::f] += 1
+    # all-odd sums are 3 mod 4, so the slots 0 mod 4 are free for even D
+    odd[::4] = even
+    return odd
+
+
 def h_neg_table(limit):
     """h(D) for every discriminant -limit <= D < 0 in one shared sweep."""
-    odd_h = [0] * (limit + 1)  # index n = |D| for odd D
-    even_max = limit // 4
-    even_h = [0] * (even_max + 1)  # index n = |D|/4 for even D
-    for s, e, f, g in _triples(limit):
-        if gcd(gcd(e, f), g) != 1:
-            continue
-        allodd = e & f & g & 1
-        if allodd:
-            if s % 4 == 3:
-                odd_h[s] += 2
-        else:
-            if s <= even_max:
-                even_h[s] += 2
-    for s, e, f in _pairs_sq(limit):
-        if gcd(e, f) != 1:
-            continue
-        allodd = e & f & 1
-        if allodd:
-            if s % 4 == 3:
-                odd_h[s] += 1
-        else:
-            if s <= even_max:
-                even_h[s] += 1
-    for f in range(1, isqrt(even_max) + 1):
-        for e in range(f + 1, even_max // f + 1):
-            if gcd(e, f) == 1:
-                even_h[e * f] += 1
-    out = {}
-    for D in range(-limit, 0):
-        m4 = D % 4
-        if m4 == 1:
-            out[D] = 1 if D == -3 else odd_h[-D]
-        elif m4 == 0:
-            out[D] = 1 if D == -4 else even_h[-D // 4]
-    return out
+    _check_limit(limit)
+    hstar = _wells_table(limit)
+    h = hstar.copy()
+    for k in range(2, isqrt(limit) + 1):
+        mu = moebius_mu(k)
+        if mu:
+            h[k * k::k * k] += mu * hstar[1:limit // (k * k) + 1]
+    h = h.tolist()
+    return {D: h[-D] for D in range(-limit, 0) if D % 4 in (0, 1)}
 
 
 def hurwitz_table(nmax):
     """H(n) for every valid 0 < n <= nmax in one shared sweep."""
-    vals = [Fraction(0)] * (nmax + 1)
-    inner_max = nmax  # odd bucket uses n directly, even bucket n/4
-    for s, e, f, g in _triples(inner_max):
-        allodd = e & f & g & 1
-        if allodd and s % 4 == 3:
-            vals[s] += 2
-        if 4 * s <= nmax:
-            vals[4 * s] += 2
-    for s, e, f in _pairs_sq(inner_max):
-        if e == f:
-            continue
-        allodd = e & f & 1
-        if allodd and s % 4 == 3:
-            vals[s] += 1
-        if 4 * s <= nmax:
-            vals[4 * s] += 1
-    e = 1
-    while 3 * e * e <= inner_max:
-        s = 3 * e * e
-        if s % 4 == 3:
-            vals[s] += Fraction(1, 3)
-        if 4 * s <= nmax:
-            vals[4 * s] += Fraction(1, 3)
-        e += 1
-    for f in range(1, inner_max + 1):
-        if f * f > inner_max:
-            break
-        for e in range(f, inner_max // f + 1):
-            s = e * f
-            if 4 * s <= nmax:
-                # ordered pairs at weight 1/2: (e,f) and (f,e) when distinct
-                vals[4 * s] += 1 if e != f else Fraction(1, 2)
-    out = {}
-    for n in range(1, nmax + 1):
-        if n % 4 in (0, 3):
-            out[n] = vals[n]
-    return out
+    _check_limit(nmax)
+    hstar = _wells_table(nmax).tolist()
+    return {n: _hurwitz_weight(n, hstar[n]) for n in range(1, nmax + 1)
+            if n % 4 in (0, 3)}

@@ -195,9 +195,11 @@ def zagier_step(q):
         raise DomainError("zagier_step needs non-square D > 0")
     if a == 0:
         raise DomainError("zagier_step needs a != 0")
-    # k = ceil((b + sqrt(D)) / (2a))
-    k = -surd_floor(Surd(-b, -1, 2 * a, D))
-    return act(q, UniMat(k, 1, -1, 0))
+    # k = ceil((b + sqrt(D)) / (2a)), where (b + sqrt(D)) / (2a) is irrational
+    r = isqrt(D)
+    k = (b + r) // (2 * a) + 1 if a > 0 else -((b + r) // (-2 * a))
+    # q | (k 1; -1 0)
+    return QuadForm(a * k * k - b * k + c, 2 * a * k - b, a)
 
 
 def _step_cycle(q, stepper):
@@ -237,13 +239,12 @@ def omega_enumerate(D):
         if (k * k - D) % 4 != 0:
             continue
         n = (D - k * k) // 4
-        for a in range(1, n + 1):
-            if n % a != 0:
-                continue
+        small = [a for a in range(1, isqrt(n) + 1) if n % a == 0]
+        large = [n // a for a in reversed(small) if a * a != n]
+        for a in small + large:
             t = 2 * a - k
             if t > 0 and t * t > D:
                 out.append(OmegaEntry(a, k))
-    out.sort(key=lambda e: (e.k, e.a))
     return out
 
 

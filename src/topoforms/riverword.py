@@ -22,6 +22,23 @@ class PellSolution:
 _SWITCH = {"0": "1", "1": "0"}
 
 
+def _least_rotation(word):
+    """The least rotation of a word, in linear time: the start of the last
+    Lyndon factor (Duval) of the doubled word that begins in its first half."""
+    n = len(word)
+    s = word + word
+    i = start = 0
+    while i < n:
+        start = i
+        j, k = i + 1, i
+        while j < 2 * n and s[k] <= s[j]:
+            k = i if s[k] < s[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return s[start:start + n]
+
+
 class Necklace:
     """A cyclic binary word (0=L, 1=R), stored as its least rotation;
     must be primitive (not a power of a shorter word) and of length >= 2."""
@@ -34,11 +51,9 @@ class Necklace:
             raise DomainError("necklace needs length >= 2")
         if set(bits) - {"0", "1"}:
             raise DomainError("necklace bits must be 0/1")
-        n = len(bits)
-        for d in range(1, n):
-            if n % d == 0 and bits == bits[:d] * (n // d):
-                raise DomainError("necklace must be non-repeating")
-        self.bits = min(bits[i:] + bits[:i] for i in range(n))
+        if (bits + bits).find(bits, 1) != len(bits):
+            raise DomainError("necklace must be non-repeating")
+        self.bits = _least_rotation(bits)
 
     def __eq__(self, other):
         return isinstance(other, Necklace) and self.bits == other.bits
@@ -245,10 +260,6 @@ def topograph_of_word(w):
 
 # ------------------------------------------------------------------- symmetry
 
-def _neck_canon(bits):
-    return min(bits[i:] + bits[:i] for i in range(len(bits)))
-
-
 def symmetry(q):
     """Flags {q~q*, q~-q, q~-q*} read off the river sequence."""
     if q.content() != 1:
@@ -264,9 +275,9 @@ def symmetry(q):
         sw = "".join(_SWITCH[c] for c in w)
         return {"q~q*": w == rev, "q~-q": w == sw[::-1], "q~-q*": w == sw}
     bits = necklace_of(q).bits
-    rev = _neck_canon(bits[::-1])
-    sw = _neck_canon("".join(_SWITCH[c] for c in bits))
-    revsw = _neck_canon("".join(_SWITCH[c] for c in bits)[::-1])
+    rev = _least_rotation(bits[::-1])
+    sw = _least_rotation("".join(_SWITCH[c] for c in bits))
+    revsw = _least_rotation("".join(_SWITCH[c] for c in bits)[::-1])
     return {"q~q*": rev == bits, "q~-q": revsw == bits, "q~-q*": sw == bits}
 
 

@@ -250,11 +250,11 @@ def test_08_root_products():
 # 9. necklace and word bijections with exact counts and the worked tables
 
 def _lyndon_count(n):
-    from topoforms.classnum import mobius
+    from topoforms.classnum import moebius_mu
     total = 0
     for d in range(1, n + 1):
         if n % d == 0:
-            total += mobius(n // d) * 2 ** d
+            total += moebius_mu(n // d) * 2 ** d
     return total // n
 
 

@@ -1,0 +1,308 @@
+"""The class-number layer against the enumerations it replaced.
+
+The reference functions below are the sweeps over every well triple and
+pair with sum <= n, the Theta(D^1.5) trial division of Omega_D, the Surd
+ceiling of the Zagier step, and a count of reduced forms; the well-count
+kernel, its tables, omega_enumerate, zagier_step and h_pos must agree with
+them exactly.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from topoforms.classnum import (h_neg, h_neg_table, h_pos, hstar_neg,
+                                hurwitz, hurwitz_table)
+from topoforms.exact import DomainError, Surd, is_square, isqrt, surd_floor
+from topoforms.forms import QuadForm, UniMat, act
+from topoforms.reduce import (is_simply_reduced, omega_enumerate,
+                              reduce_simple_cycle, zagier_step)
+
+LIMIT = 4000
+
+
+# ------------------------------------------------------------- reference
+
+def _triples(nmax):
+    # e > f > g > 0 with s = ef+fg+ge <= nmax
+    g = 1
+    while 3 * g * g + 6 * g + 2 <= nmax:
+        f = g + 1
+        while f * (f + 1) + g * (2 * f + 1) <= nmax:
+            base = f * g
+            stride = f + g
+            e = f + 1
+            s = base + e * stride
+            while s <= nmax:
+                yield s, e, f, g
+                e += 1
+                s += stride
+            f += 1
+        g += 1
+
+
+def _pairs_sq(nmax):
+    # e, f > 0 with s = e^2 + 2ef <= nmax
+    e = 1
+    while e * e + 2 * e <= nmax:
+        f = 1
+        s = e * e + 2 * e
+        while s <= nmax:
+            yield s, e, f
+            f += 1
+            s += 2 * e
+        e += 1
+
+
+def ref_h_neg_table(limit):
+    odd_h = [0] * (limit + 1)  # index n = |D| for odd D
+    even_max = limit // 4
+    even_h = [0] * (even_max + 1)  # index n = |D|/4 for even D
+    for s, e, f, g in _triples(limit):
+        if gcd(gcd(e, f), g) != 1:
+            continue
+        allodd = e & f & g & 1
+        if allodd:
+            if s % 4 == 3:
+                odd_h[s] += 2
+        else:
+            if s <= even_max:
+                even_h[s] += 2
+    for s, e, f in _pairs_sq(limit):
+        if gcd(e, f) != 1:
+            continue
+        allodd = e & f & 1
+        if allodd:
+            if s % 4 == 3:
+                odd_h[s] += 1
+        else:
+            if s <= even_max:
+                even_h[s] += 1
+    for f in range(1, isqrt(even_max) + 1):
+        for e in range(f + 1, even_max // f + 1):
+            if gcd(e, f) == 1:
+                even_h[e * f] += 1
+    out = {}
+    for D in range(-limit, 0):
+        m4 = D % 4
+        if m4 == 1:
+            out[D] = 1 if D == -3 else odd_h[-D]
+        elif m4 == 0:
+            out[D] = 1 if D == -4 else even_h[-D // 4]
+    return out
+
+
+def ref_hstar_table(limit):
+    # the filters of the scalar h* count, bucketed by s in one sweep
+    odd_h = [0] * (limit + 1)
+    even_max = limit // 4
+    even_h = [0] * (even_max + 1)
+    for s, e, f, g in _triples(limit):
+        if e & f & g & 1:
+            odd_h[s] += 2
+        if s <= even_max:
+            even_h[s] += 2
+    for s, e, f in _pairs_sq(limit):
+        if e == f:
+            continue
+        if e & f & 1:
+            odd_h[s] += 1
+        if s <= even_max:
+            even_h[s] += 1
+    for n in range(1, limit + 1):
+        if n % 3 == 0 and is_square(n // 3):
+            odd_h[n] += 1
+            if n <= even_max:
+                even_h[n] += 1
+    for f in range(1, isqrt(even_max) + 1):
+        for e in range(f, even_max // f + 1):
+            even_h[e * f] += 1
+    out = {}
+    for D in range(-limit, 0):
+        if D % 4 == 1:
+            out[D] = odd_h[-D]
+        elif D % 4 == 0:
+            out[D] = even_h[-D // 4]
+    return out
+
+
+def ref_hurwitz_table(nmax):
+    vals = [Fraction(0)] * (nmax + 1)
+    inner_max = nmax  # odd bucket uses n directly, even bucket n/4
+    for s, e, f, g in _triples(inner_max):
+        allodd = e & f & g & 1
+        if allodd and s % 4 == 3:
+            vals[s] += 2
+        if 4 * s <= nmax:
+            vals[4 * s] += 2
+    for s, e, f in _pairs_sq(inner_max):
+        if e == f:
+            continue
+        allodd = e & f & 1
+        if allodd and s % 4 == 3:
+            vals[s] += 1
+        if 4 * s <= nmax:
+            vals[4 * s] += 1
+    e = 1
+    while 3 * e * e <= inner_max:
+        s = 3 * e * e
+        if s % 4 == 3:
+            vals[s] += Fraction(1, 3)
+        if 4 * s <= nmax:
+            vals[4 * s] += Fraction(1, 3)
+        e += 1
+    for f in range(1, inner_max + 1):
+        if f * f > inner_max:
+            break
+        for e in range(f, inner_max // f + 1):
+            s = e * f
+            if 4 * s <= nmax:
+                # ordered pairs at weight 1/2: (e,f) and (f,e) when distinct
+                vals[4 * s] += 1 if e != f else Fraction(1, 2)
+    out = {}
+    for n in range(1, nmax + 1):
+        if n % 4 in (0, 3):
+            out[n] = vals[n]
+    return out
+
+
+def ref_reduced_forms(D, primitive):
+    """Reduced forms |b| <= a <= c of D < 0, b >= 0 when |b| = a or a = c."""
+    count = 0
+    a = 1
+    while 3 * a * a <= -D:
+        for b in range(-a + 1, a + 1):
+            if (b * b - D) % (4 * a):
+                continue
+            c = (b * b - D) // (4 * a)
+            if c < a or (c == a and b < 0):
+                continue
+            if not primitive or gcd(gcd(a, b), c) == 1:
+                count += 1
+        a += 1
+    return count
+
+
+def ref_omega_enumerate(D):
+    out = []
+    root = isqrt(D)
+    kmax = root if root * root < D else root - 1
+    for k in range(-kmax, kmax + 1):
+        if (k * k - D) % 4 != 0:
+            continue
+        n = (D - k * k) // 4
+        for a in range(1, n + 1):
+            if n % a != 0:
+                continue
+            t = 2 * a - k
+            if t > 0 and t * t > D:
+                out.append((a, k))
+    out.sort(key=lambda e: (e[1], e[0]))
+    return out
+
+
+def ref_zagier_step(q):
+    a, b, c = q
+    D = q.discriminant()
+    k = -surd_floor(Surd(-b, -1, 2 * a, D))
+    return act(q, UniMat(k, 1, -1, 0))
+
+
+def ref_h_pos(D):
+    """Distinct simple cycles over every primitive simply reduced form."""
+    cycles, seen = set(), set()
+    for b in range(-isqrt(D), isqrt(D) + 1):
+        if (D - b * b) % 4 or b * b == D:
+            continue
+        n = (D - b * b) // 4
+        for a in [a for a in range(1, n + 1) if n % a == 0]:
+            q = QuadForm(a, b, -(n // a))
+            if q in seen or q.content() != 1 or not is_simply_reduced(q):
+                continue
+            cycle = reduce_simple_cycle(q).canonical
+            cycles.add(cycle)
+            seen.update(cycle)
+    return len(cycles)
+
+
+# ----------------------------------------------------------------- tests
+
+def _discs_neg(limit):
+    return [D for D in range(-limit, 0) if D % 4 in (0, 1)]
+
+
+def test_scalar_counts_match_sweeps():
+    h, hstar = ref_h_neg_table(LIMIT), ref_hstar_table(LIMIT)
+    H = ref_hurwitz_table(LIMIT)
+    for D in _discs_neg(LIMIT):
+        assert h_neg(D) == h[D], D
+        assert hstar_neg(D) == hstar[D], D
+        got = hurwitz(-D)
+        assert type(got) is Fraction and got == H[-D], D
+
+
+def test_tables_match_scalar_counts():
+    h, H = h_neg_table(LIMIT), hurwitz_table(LIMIT)
+    assert list(h) == _discs_neg(LIMIT)
+    assert list(H) == [n for n in range(1, LIMIT + 1) if n % 4 in (0, 3)]
+    for D in _discs_neg(LIMIT):
+        assert type(h[D]) is int and h[D] == h_neg(D), D
+        assert type(H[-D]) is Fraction and H[-D] == hurwitz(-D), D
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 5, 7, 8, 12, 16, 27, 48])
+def test_small_tables(limit):
+    assert h_neg_table(limit) == ref_h_neg_table(limit)
+    assert hurwitz_table(limit) == ref_hurwitz_table(limit)
+
+
+@given(st.integers(1, 49999), st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_counts_match_reduced_forms(m, even):
+    D = -4 * m if even else -(4 * m + 3)
+    assert h_neg(D) == ref_reduced_forms(D, primitive=True)
+    assert hstar_neg(D) == ref_reduced_forms(D, primitive=False)
+
+
+def test_omega_enumerate_matches_trial_division():
+    for D in range(1, 1500):
+        assert [(e.a, e.k) for e in omega_enumerate(D)] == ref_omega_enumerate(D), D
+
+
+def _check_zagier_step(a, b, c):
+    q = QuadForm(a, b, c)
+    D = q.discriminant()
+    if a == 0 or D <= 0 or is_square(D):
+        return
+    got = zagier_step(q)
+    assert type(got) is QuadForm and got == ref_zagier_step(q), q
+
+
+def test_zagier_step_matches_surd_ceiling_small():
+    # every small form, so that 2a | b + isqrt(D) occurs for both signs of a
+    for a in range(-12, 13):
+        for b in range(-12, 13):
+            for c in range(-12, 13):
+                _check_zagier_step(a, b, c)
+
+
+@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
+       st.integers(-10**6, 10**6))
+@settings(max_examples=200)
+def test_zagier_step_matches_surd_ceiling(a, b, c):
+    _check_zagier_step(a, b, c)
+
+
+def test_h_pos_counts_simple_cycles():
+    for D in range(2, 2000):
+        if D % 4 in (0, 1) and not is_square(D):
+            assert h_pos(D) == ref_h_pos(D), D
+
+
+@pytest.mark.parametrize("table", [h_neg_table, hurwitz_table])
+def test_negative_table_limit_is_a_domain_error(table):
+    for limit in (-1, -2, -5):
+        with pytest.raises(DomainError, match="table limit"):
+            table(limit)

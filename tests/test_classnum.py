@@ -5,18 +5,18 @@ from hypothesis import given, settings, strategies as st
 
 from topoforms.classnum import (euler_phi, h_neg, h_neg_table, h_pos,
                                 h_square, hstar_neg, hurwitz, hurwitz_table,
-                                mobius, r3, r3_primitive, r3_via_class,
+                                moebius_mu, r3, r3_primitive, r3_via_class,
                                 r3p_via_class, upsilon, upsilon_odd)
 from topoforms.exact import DomainError
 
 
 def test_euler_phi_mobius():
     assert [euler_phi(m) for m in (1, 2, 6, 10, 12)] == [1, 1, 2, 4, 4]
-    assert [mobius(m) for m in (1, 2, 4, 6, 30)] == [1, -1, 0, 1, -1]
+    assert [moebius_mu(m) for m in (1, 2, 4, 6, 30)] == [1, -1, 0, 1, -1]
     with pytest.raises(DomainError):
         euler_phi(0)
     with pytest.raises(DomainError):
-        mobius(-1)
+        moebius_mu(-1)
 
 
 def test_h_neg_known_values():

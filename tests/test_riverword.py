@@ -24,6 +24,27 @@ def test_necklace_canonical_rotation():
         Necklace("012")
 
 
+def _ref_necklace_bits(bits):
+    """The least rotation by trying every rotation, None for a power."""
+    n = len(bits)
+    if any(n % d == 0 and bits == bits[:d] * (n // d) for d in range(1, n)):
+        return None
+    return min(bits[i:] + bits[:i] for i in range(n))
+
+
+@given(st.text("01", min_size=1, max_size=12), st.integers(1, 4))
+@settings(max_examples=300)
+def test_necklace_matches_rotation_search(root, power):
+    # powers of a shorter word must be refused, whatever their root
+    bits = root * power
+    want = _ref_necklace_bits(bits)
+    if len(bits) < 2 or want is None:
+        with pytest.raises(DomainError):
+            Necklace(bits)
+    else:
+        assert Necklace(bits).bits == want
+
+
 def test_principal_form():
     assert principal_form(5) == QuadForm(1, 1, -1)
     assert principal_form(96) == QuadForm(1, 0, -24)
