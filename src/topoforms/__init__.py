@@ -18,7 +18,7 @@ from .reduce import (OmegaEntry, ReductionResult, gauss_cycle, gauss_step,
                      is_simple, is_simply_reduced, is_z_reduced,
                      is_zstar_reduced, omega_enumerate, reduce_negative,
                      reduce_simple_cycle, reduce_square, z_forms,
-                     zagier_cycle, zagier_step, zstar_forms)
+                     zagier_classes, zagier_cycle, zagier_step, zstar_forms)
 from .classnum import (h_neg, h_neg_table, h_pos, h_square, hstar_neg,
                        hurwitz, hurwitz_table, r3, r3_primitive, r3_via_class,
                        r3p_via_class, upsilon, upsilon_odd)

@@ -36,7 +36,7 @@ from math import gcd
 import numpy as np
 
 from .exact import DomainError, is_square, isqrt
-from .reduce import z_forms, zagier_step
+from .reduce import zagier_classes
 
 # H weighs the classes j[1,1,1] (|D| = 3j^2) and j[1,0,1] (|D| = 4j^2), which
 # h* counts once, by the inverse orders of their automorph groups modulo -1
@@ -165,16 +165,7 @@ def h_pos(D):
         raise DomainError("h_pos needs non-square D > 0")
     if D % 4 not in (0, 1):
         raise DomainError("discriminant must be 0 or 1 mod 4")
-    unseen = {q for q in z_forms(D) if q.content() == 1}
-    count = 0
-    while unseen:
-        start = unseen.pop()
-        q = zagier_step(start)
-        while q != start:
-            unseen.remove(q)
-            q = zagier_step(q)
-        count += 1
-    return count
+    return len(zagier_classes(D))
 
 
 # ------------------------------------------------------ sums of three squares

@@ -225,6 +225,26 @@ def zagier_cycle(q):
     return _step_cycle(q, zagier_step)
 
 
+def zagier_classes(D):
+    """The primitive Z-reduced forms of a non-square D > 0, one Zagier cycle
+    per primitive class, each in stepping order from its first form in
+    z_forms order; every form is visited once."""
+    forms = [q for q in z_forms(D) if q.content() == 1]
+    unseen = set(forms)
+    out = []
+    for start in forms:
+        if start not in unseen:
+            continue
+        cycle = [start]
+        q = zagier_step(start)
+        while q != start:
+            cycle.append(q)
+            q = zagier_step(q)
+        unseen.difference_update(cycle)
+        out.append(tuple(cycle))
+    return out
+
+
 # ------------------------------------------------------------------ Omega_D
 
 def omega_enumerate(D):

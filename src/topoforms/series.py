@@ -3,14 +3,34 @@ vertex sums (targets 4*pi and 24*pi), the river sums (target 2 log eps_D),
 the square-discriminant sums with the W1/W2 boundary integrals, the Hurwitz
 series, exact root products, and the discriminant-zero Eisenstein check.
 
-Every sum is evaluated in a fixed traversal order with exact integer label
-arithmetic per term and one float rounding per term; per-level totals go
-through math.fsum, so results are bit-reproducible.
+Every vertex sum runs on one level kernel, `_levels`, which yields each
+level of a topograph as the edge forms (a, b, c) in numpy arrays, each
+parent's L child (a, b+2a, a+b+c) just before its R child (a+b+c, b+2c, c).
+Each term equals its value on Python integers, bit for bit:
+
+- labels are exact integers: int64 while every label of a level is below
+  2^58, so that every sum a term takes stays inside int64, and Python ints
+  in object arrays from the first level that reaches it;
+- a term's denominator p, a product of three labels, is rounded to fl(p)
+  once.  In float64 that holds where the product of two factors and the
+  third factor are both below 2^53; every other term is evaluated on
+  Python ints;
+- float(p*p), and float(p) ** 2 and abs(float(p)) ** 3 as the platform pow
+  gives them, come from error-free products.  Where the exact value lies
+  too near a rounding boundary to decide float(p*p), the term is evaluated
+  on Python ints; within 1/16 ulp of one, the power is Python's own pow.
+  Farther away the platform pow is correctly rounded if its error is below
+  0.5625 ulp (glibc bounds it by 0.54 ulp);
+- each sum is one math.fsum over a fixed group of terms: a level for the
+  definite and square sums, a hanging tree for the river sums.  fsum is
+  correctly rounded, so a group's value depends only on its terms.
 """
 
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 from math import fsum, gcd, log, pi
 
 import numpy as np
@@ -18,9 +38,10 @@ import numpy as np
 from .classnum import euler_phi, hurwitz
 from .exact import DomainError, Surd, is_square, isqrt
 from .forms import QuadForm
-from .reduce import reduce_simple_cycle, reduce_square, z_forms, zstar_forms
+from .reduce import (reduce_simple_cycle, reduce_square, z_forms,
+                     zagier_classes, zstar_forms)
 from .riverword import epsilon
-from .topograph import find_river
+from .topograph import find_river, river_blocks
 
 # the two Poincare-series evaluations the identities rest on
 POINCARE_ALL_ONES = 3 * pi / 2
@@ -56,6 +77,198 @@ def _check_depth(depth):
         raise DomainError(f"depth must be >= 0, got {depth}")
 
 
+# ------------------------------------------------------------ level kernel
+
+_LABEL_MAX = 1 << 58  # labels below this keep every sum of a term in int64
+_EXACT = 2.0 ** 53  # integers below this are exact in float64
+_POW_MARGIN = 1 / 16  # ulps from a rounding boundary where pow may differ
+_EXPONENT = np.int64(0x7FF0000000000000)  # exponent bits of a float64
+_FRACTION = np.int64(0x000FFFFFFFFFFFFF)  # fraction bits of a float64
+_CHUNK = 1 << 13  # edges per call of a term function, to stay in cache
+
+
+def _labels(*cols):
+    """Columns of integer labels as int64 arrays, or as object arrays of
+    Python ints when some label reaches _LABEL_MAX."""
+    wide = any(abs(v) >= _LABEL_MAX for col in cols for v in col)
+    return [np.array(col, dtype=object if wide else np.int64) for col in cols]
+
+
+def _interleave(x, y):
+    out = np.empty(2 * len(x), dtype=x.dtype)
+    out[0::2] = x
+    out[1::2] = y
+    return out
+
+
+def _levels(a, b, c):
+    """The topograph below the edges (a, b, c), given as lists of ints,
+    level by level: each level is three label arrays of edge forms, every
+    parent's L child (a, b+2a, a+b+c) just before its R child
+    (a+b+c, b+2c, c), so each starting edge's subtree is one contiguous
+    run of every level."""
+    a, b, c = _labels(a, b, c)
+    while True:
+        yield a, b, c
+        # below 3 * 2^58 in magnitude from int64 parents: no wraparound
+        h = a + b + c
+        bl = b + 2 * a
+        br = b + 2 * c
+        if a.dtype != object and max(max(x.max(initial=0), -x.min(initial=0))
+                                     for x in (h, bl, br)) >= _LABEL_MAX:
+            a, b, c, h, bl, br = (x.astype(object)
+                                  for x in (a, b, c, h, bl, br))
+        a, b, c = _interleave(a, h), _interleave(bl, br), _interleave(h, c)
+
+
+def _level_terms(terms, level):
+    """terms(a, b, c), a (2, n) array of two terms per edge, over a level,
+    _CHUNK edges at a time."""
+    n = len(level[0])
+    if n <= _CHUNK:
+        return terms(*level)
+    return np.hstack([terms(*(x[i:i + _CHUNK] for x in level))
+                      for i in range(0, n, _CHUNK)])
+
+
+def _by_ints(mask, out, term, *cols):
+    """Overwrite the masked columns of the (2, n) term array `out` with
+    the values of `term` on the columns' entries as Python ints."""
+    idx = np.flatnonzero(mask)
+    if idx.size:
+        out[:, idx] = np.array([term(*args) for args in
+                                zip(*(col[idx].tolist() for col in cols))]).T
+
+
+def _exact_parts(t):
+    """For each row of the 2-D float array t, floats whose exact sum is the
+    row's exact sum, so that math.fsum of them is math.fsum of the row.  In
+    slices of at most _CHUNK columns, every entry is n 2^(e-53) with an
+    integer |n| < 2^53, split into n >> 26 and n mod 2^26; their sums per
+    row and exponent stay exact integers below 2^41, and scaled by 2^(e-53)
+    and 2^(e-27) they stay exact floats."""
+    rows, n = t.shape
+    if n < 256:
+        return t.tolist()
+    out = [[] for _ in range(rows)]
+    step = max(256, _CHUNK // rows)
+    for j in range(0, n, step):
+        m, e = np.frexp(t[:, j:j + step])
+        mant = (m * _EXACT).astype(np.int64)
+        emin = int(e.min())
+        span = int(e.max()) - emin + 1
+        # one bucket per row and exponent
+        idx = (e - emin + span * np.arange(rows)[:, None]).reshape(-1)
+        scale = np.arange(emin - 53, emin - 53 + span)
+        for shift, part in ((26, mant >> 26), (0, mant & 0x3FFFFFF)):
+            sums = np.bincount(idx, part.reshape(-1).astype(float),
+                               rows * span)
+            for acc, row in zip(out, np.ldexp(sums.reshape(rows, span),
+                                              scale + shift).tolist()):
+                acc += row
+    return out
+
+
+def _halves(x):
+    # Veltkamp split: x = hi + lo with halves of 26 and 27 bits
+    t = 134217729.0 * x
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+def _two_prod(x, y):
+    """x * y = p + e exactly, with p = fl(x * y) (Dekker)."""
+    p = x * y
+    xh, xl = _halves(x)
+    yh, yl = _halves(y)
+    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+
+
+def _rounded(hi, lo, margin):
+    """fl(hi + lo) for positive hi and |lo| a few ulps of hi, with the
+    mask of the entries within `margin` ulps of a rounding boundary, or at
+    a power of two, where the gaps on either side differ."""
+    out = hi + lo
+    r = lo - (out - hi)  # exact, since |hi| >= |lo|
+    bits = out.view(np.int64)
+    ulp = (bits & _EXPONENT).view(float) * 2.0 ** -52
+    near = np.abs(r) >= (0.5 - margin) * ulp
+    return out, near | ((bits & _FRACTION) == 0)
+
+
+def _product(x, y, z):
+    """fl(x*y) * fl(z) for int64 label arrays, and the mask of the entries
+    where fl(x*y) and fl(z) are exact, so that the product is fl(x*y*z),
+    the one rounding of the exact product."""
+    xy = x.astype(float) * y.astype(float)
+    fz = z.astype(float)
+    return xy, fz, (np.abs(xy) < _EXACT) & (np.abs(fz) < _EXACT)
+
+
+def _powers(x):
+    """x ** 2 and x ** 3 for a float array x >= 0, entry by entry equal to
+    Python's float power, which is the platform pow."""
+    sq, sq_lo = _two_prod(x, x)
+    cu, cu_lo = _two_prod(sq, x)
+    cu_lo += sq_lo * x  # x^3 = cu + cu_lo, up to 2^-100 relative
+    out = []
+    for n, hi, lo in ((2, sq, sq_lo), (3, cu, cu_lo)):
+        val, near = _rounded(hi, lo, _POW_MARGIN)
+        idx = np.flatnonzero(near)
+        if idx.size:
+            val[idx] = [v ** n for v in x[idx].tolist()]
+        out.append(val)
+    return out
+
+
+def _definite_term(a, c, h):
+    p = a * c * h
+    return 1.0 / abs(p), abs(a + c + h) / float(p * p)
+
+
+def _definite_terms(a, b, c):
+    """1/|p| and |a+c+h|/p^2 with p = a*c*h at the head vertex (a, c, h),
+    h = a+b+c, of each edge (a, b, c): the terms of the definite sums."""
+    h = a + b + c
+    t = np.empty((2, len(a)))
+    slow = np.ones(len(a), dtype=bool)
+    if a.dtype != object:
+        ac, fh, ok = _product(a, c, h)
+        p, e = _two_prod(ac, fh)
+        # p^2 = (p + e)^2 = sq + sq_lo + 2pe + e^2 exactly; the float sum
+        # of the last three errs by less than 2^-50 ulp, far inside 2^-30
+        sq, sq_lo = _two_prod(p, p)
+        p2, near = _rounded(sq, sq_lo + (2 * p * e + e * e), 2.0 ** -30)
+        t[0] = 1.0 / np.abs(p)
+        t[1] = np.abs(a + c + h).astype(float) / p2
+        # with e == 0, sq + sq_lo is p^2 exactly and its one rounding fl(p^2)
+        slow = ~ok | (near & (e != 0))
+    _by_ints(slow, t, _definite_term, a, c, h)
+    return t
+
+
+def _edge_term(k, x, y, z, s):
+    p = x * y * z
+    return (k[0] / abs(p),
+            k[1] * abs(s) / float(p) ** 2 + k[2] / (3 * abs(float(p)) ** 3))
+
+
+def _edge_terms(x, y, z, s, k):
+    """k1/|p| and k2 |s|/p^2 + k3/(3 |p|^3) with p = x*y*z, for label
+    arrays: the edge terms of the river and square sums."""
+    t = np.empty((2, len(x)))
+    slow = np.ones(len(x), dtype=bool)
+    if x.dtype != object:
+        xy, fz, ok = _product(x, y, z)
+        p = np.abs(xy * fz)
+        p2, p3 = _powers(p)
+        t[0] = k[0] / p
+        t[1] = k[1] * np.abs(s).astype(float) / p2 + k[2] / (3 * p3)
+        slow = ~ok
+    _by_ints(slow, t, partial(_edge_term, k), x, y, z, s)
+    return t
+
+
 # ----------------------------------------------------------- definite sums
 
 def _neg_scan(q, checkpoints):
@@ -70,37 +283,19 @@ def _neg_scan(q, checkpoints):
     want = set(checkpoints)
     a, b, c = q
     t = a - b + c
-    level1 = [1.0 / abs(a * c * t)]
-    level2 = [abs(a + c + t) / float((a * c * t) ** 2)]
+    # the root vertex (a, c, t) is the head of the edge (a, -b, c)
+    level1, level2 = _definite_terms(*_labels([a], [-b], [c])).tolist()
     out = {}
-    # the three edges out of the root's tail vertex
-    fa = [a, c, t]
-    fb = [b, -b + 2 * c, -b + 2 * a]
-    fc = [c, t, a]
     terms = 1
-    for depth in range(1, maxdepth + 1):
-        na, nb, nc = [], [], []
-        t1, t2 = [], []
-        for i in range(len(fa)):
-            a = fa[i]
-            b = fb[i]
-            c = fc[i]
-            h = a + b + c
-            p = a * c * h
-            t1.append(1.0 / abs(p))
-            t2.append(abs(a + c + h) / float(p * p))
-            na.append(a)
-            nb.append(b + 2 * a)
-            nc.append(h)
-            na.append(h)
-            nb.append(b + 2 * c)
-            nc.append(c)
-        terms += len(fa)
-        level1.append(fsum(t1))
-        level2.append(fsum(t2))
+    # the three edges out of the root's tail vertex, then the levels below
+    levels = _levels([a, c, t], [b, -b + 2 * c, -b + 2 * a], [c, t, a])
+    for depth, level in zip(range(1, maxdepth + 1), levels):
+        p1, p2 = _exact_parts(_level_terms(_definite_terms, level))
+        terms += len(level[0])
+        level1.append(fsum(p1))
+        level2.append(fsum(p2))
         if depth in want:
             out[depth] = (fsum(level1), fsum(level2), terms)
-        fa, fb, fc = na, nb, nc
     if 0 in want:
         out[0] = (level1[0], level2[0], 1)
     return out
@@ -176,6 +371,12 @@ def _all_reduced_neg(D):
 
 # -------------------------------------------------------------- river sums
 
+def _tree_terms(k, a, b, c):
+    # p = b f g = -efg with e = -b, f = b+2a, g = b+2c
+    f = b + 2 * a
+    return _edge_terms(b, f, b + 2 * c, f + 2 * c, k)
+
+
 def series_pos(q, depth):
     """River-period sums for non-square D > 0: hanging trees to `depth`
     edges off the river; targets 2 log eps_D."""
@@ -190,44 +391,33 @@ def series_pos(q, depth):
     d92 = D ** 4.5
     sums1 = []
     sums2 = []
-    terms = 0
+    hanging = []
     for edge in river.edges:
         a, b, c = edge.form
         h = a + b + c
         if h > 0:
-            ta, tb, tc = a, b + 2 * a, h  # river turns R; the L child hangs
+            tree = (a, b + 2 * a, h)  # river turns R; the L child hangs
         else:
-            ta, tb, tc = h, b + 2 * c, c
-        et = abs(tb)
+            tree = (h, b + 2 * c, c)
+        et = abs(tree[1])
         sums1.append(sqD / et)
         sums2.append(sqD / et + d32 / (3 * et ** 3))
-        terms += 1
-        # `depth` counts edges beyond the hanging edge, so depth 0 already
-        # includes the hanging tree's head vertex
-        fa, fb, fc = [ta], [tb], [tc]
-        t1, t2 = [], []
-        for _ in range(depth + 1):
-            na, nb, nc = [], [], []
-            for i in range(len(fa)):
-                a = fa[i]
-                b = fb[i]
-                c = fc[i]
-                f = b + 2 * a
-                g = b + 2 * c
-                p = b * f * g  # = -efg with e = -b
-                t1.append(d32 / abs(p))
-                t2.append(d52 * abs(b + 2 * a + 2 * c) / float(p) ** 2
-                          + d92 / (3 * abs(float(p)) ** 3))
-                na.append(a)
-                nb.append(f)
-                nc.append(a + b + c)
-                na.append(a + b + c)
-                nb.append(g)
-                nc.append(c)
-            terms += len(fa)
-            fa, fb, fc = na, nb, nc
-        sums1.append(fsum(t1))
-        sums2.append(fsum(t2))
+        hanging.append(tree)
+    # all hanging trees in one frontier, tree-major: tree i is row i of
+    # every level; `depth` counts edges beyond the hanging edge, so depth 0
+    # already includes the hanging tree's head vertex
+    k = len(hanging)
+    terms = k
+    tree_terms = partial(_tree_terms, (d32, d52, d92))
+    # parts of the first term of tree 0, ..., tree k-1, then of the second
+    parts = [[] for _ in range(2 * k)]
+    for _, level in zip(range(depth + 1), _levels(*zip(*hanging))):
+        t = _level_terms(tree_terms, level).reshape(2 * k, -1)
+        for acc, row in zip(parts, _exact_parts(t)):
+            acc += row
+        terms += len(level[0])
+    sums1 += [fsum(p) for p in parts[:k]]
+    sums2 += [fsum(p) for p in parts[k:]]
     target = 2 * log(float(epsilon(D)))
     r1 = SeriesReport("mt", D, depth, fsum(sums1), target, terms)
     r2 = SeriesReport("mt2", D, depth, fsum(sums2), target, terms)
@@ -235,6 +425,43 @@ def series_pos(q, depth):
 
 
 # ------------------------------------------------------------- square sums
+
+def _hanging_term(m, m3, et):
+    return m / et, m / et + m3 / (3 * et ** 3)
+
+
+def _square_terms(m, a, b, c):
+    """The square sums' terms at the head vertex (r1, r2, r3) = (a, c, h),
+    h = a+b+c, of each edge (a, b, c).  A lake vertex (a zero label) has
+    none.  A river vertex (labels of both signs) counts only its hanging
+    edge et, with the river edges relabeled by sqrt(D) = m.  Any other
+    vertex counts the edge term of e, f, g = r2+r3-r1, r1+r3-r2, r1+r2-r3."""
+    m3 = float(m ** 3)
+    r = (a, c, a + b + c)
+    lake = (r[0] == 0) | (r[1] == 0) | (r[2] == 0)
+    neg = sum((x < 0).astype(np.int64) for x in r)
+    river = ~lake & (neg % 3 != 0)
+    x1, x2, x3 = (x[river] for x in r)
+    # the odd one out: the only negative label, or the only positive one
+    odd = np.where(neg[river] == 1, np.minimum(np.minimum(x1, x2), x3),
+                   np.maximum(np.maximum(x1, x2), x3))
+    et = np.abs(x1 + x2 + x3 - 2 * odd)
+    u = np.empty((2, len(et)))
+    slow = np.ones(len(et), dtype=bool)
+    if et.dtype != object and m < _EXACT:
+        x = et.astype(float)
+        u[0] = m / x
+        # one rounding, fl(3 et^3), while 3 et^2 < 2^53
+        u[1] = u[0] + m3 / (3 * x * x * x)
+        slow = et >= 1 << 25
+    _by_ints(slow, u, partial(_hanging_term, m, m3), et)
+    y1, y2, y3 = (x[~lake & (neg % 3 == 0)] for x in r)
+    e = y2 + y3 - y1
+    f = y1 + y3 - y2
+    g = y1 + y2 - y3
+    v = _edge_terms(e, f, g, e + f + g, (m3, float(m ** 5), float(m ** 9)))
+    return np.hstack((u, v))
+
 
 def series_square(q, depth):
     """Square-discriminant sums from the middle river vertex, with the
@@ -256,61 +483,22 @@ def series_square(q, depth):
     k = len(river.edges)
     root = river.edges[k // 2].form if k else QuadForm(r, -m, 0)
     a, b, c = root
-    # BFS from the tail vertex of the root cursor
-    verts = [(a, c, a - b + c)]
-    fa = [a, c, a - b + c]
-    fb = [b, -b + 2 * c, -b + 2 * a]
-    fc = [c, a - b + c, a]
+    # level 0 is the tail vertex of the root cursor, the head of the edge
+    # (a, -b, c); level l >= 1 holds the head vertices of the edges l - 1
+    # levels below the three edges out of it
+    levels = chain([_labels([a], [-b], [c])],
+                   _levels([a, c, a - b + c], [b, -b + 2 * c, -b + 2 * a],
+                           [c, a - b + c, a]))
     sums1 = []
     sums2 = []
     terms = 0
-    m3 = float(m ** 3)
-    m5 = float(m ** 5)
-    m9 = float(m ** 9)
-    for lvl in range(depth + 1):
-        t1, t2 = [], []
-        for r1, r2, r3 in verts:
-            if r1 == 0 or r2 == 0 or r3 == 0:
-                continue  # lake vertex: no term, but keep traversing
-            neg = (r1 < 0) + (r2 < 0) + (r3 < 0)
-            if neg in (1, 2):
-                # river vertex: only the hanging tree edge counts, with the
-                # river edges relabeled by sqrt(D) = m
-                if neg == 1:
-                    odd = min(x for x in (r1, r2, r3) if x < 0)
-                else:
-                    odd = max(x for x in (r1, r2, r3) if x > 0)
-                et = abs((r1 + r2 + r3) - 2 * odd)
-                t1.append(m / et)
-                t2.append(m / et + m3 / (3 * et ** 3))
-            else:
-                e = r2 + r3 - r1
-                f = r1 + r3 - r2
-                g = r1 + r2 - r3
-                p = e * f * g
-                t1.append(m3 / abs(p))
-                t2.append(m5 * abs(e + f + g) / float(p) ** 2
-                          + m9 / (3 * abs(float(p)) ** 3))
-            terms += 1
-        sums1.append(fsum(t1))
-        sums2.append(fsum(t2))
-        if lvl == depth:
-            break
-        verts = []
-        na, nb, nc = [], [], []
-        for i in range(len(fa)):
-            a = fa[i]
-            b = fb[i]
-            c = fc[i]
-            h = a + b + c
-            verts.append((a, c, h))
-            na.append(a)
-            nb.append(b + 2 * a)
-            nc.append(h)
-            na.append(h)
-            nb.append(b + 2 * c)
-            nc.append(c)
-        fa, fb, fc = na, nb, nc
+    square_terms = partial(_square_terms, m)
+    for _, level in zip(range(depth + 1), levels):
+        t = _level_terms(square_terms, level)
+        terms += t.shape[1]
+        p1, p2 = _exact_parts(t)
+        sums1.append(fsum(p1))
+        sums2.append(fsum(p2))
     v1 = fsum(sums1) + W1(r / m) + W1(s_res / m)
     v2 = fsum(sums2) + (W2(r / m) + W2(s_res / m) + 1) / 3
     if m == 1:
@@ -346,17 +534,11 @@ def series_seed(D):
             if best is None or key < best[0]:
                 best = (key, q)
         return best[1]
+    # each class once: its least simply reduced form and its river period
     best = None
-    seen = set()
-    for f in zstar_forms(D):
-        if f.content() != 1:
-            continue
-        cyc = reduce_simple_cycle(f).canonical
-        if cyc in seen:
-            continue
-        seen.add(cyc)
-        q = cyc[0]
-        key = (len(find_river(q).edges), q)
+    for cycle in zagier_classes(D):
+        q = reduce_simple_cycle(cycle[0]).canonical[0]
+        key = (sum(k for _, k in river_blocks(q).word), q)
         if best is None or key < best[0]:
             best = (key, q)
     return best[1]
@@ -402,10 +584,6 @@ def W2(x):
 
 # ------------------------------------------------------------ root products
 
-def _class_key(q):
-    return reduce_simple_cycle(q).canonical
-
-
 def root_product(q):
     """Exact product of the first roots of the Zagier * forms in q's class;
     equals the fundamental unit eps_D."""
@@ -414,13 +592,13 @@ def root_product(q):
         raise DomainError("root_product needs non-square D > 0")
     if q.content() != 1:
         raise DomainError("root_product needs a primitive form")
-    key = _class_key(q)
+    key = reduce_simple_cycle(q).canonical
+    cycle = next(cyc for cyc in zagier_classes(D)
+                 if reduce_simple_cycle(cyc[0]).canonical == key)
     prod = Surd(1, 0, 1, D)
-    for f in zstar_forms(D):
-        if f.content() != 1 or _class_key(f) != key:
-            continue
-        a, b, _ = f
-        prod = prod * Surd(-b, 1, 2 * a, D)
+    # the Z form [a, b, c] is properly equivalent to the Z* form [c, -b, a]
+    for _, b, c in cycle:
+        prod = prod * Surd(b, 1, 2 * c, D)
     return prod
 
 
@@ -514,8 +692,8 @@ def square_log_identity(m, bmax=80000):
     s2 = fsum(m / q.b for q in z_forms(D) if q.content() == 1)
     s3 = fsum(W1(r / m) for r in range(1, m) if gcd(r, m) == 1)
     spf = _spf_sieve(bmax + m)
-    m3 = float(m ** 3)
-    s1_terms = []
+    divs = []  # the divisors a of n4 = (b^2 - m^2)/4 for every |b|, flat
+    counts = []
     for ab in range(m + 2, bmax + 1, 2):  # |b| odd like m, so |b| >= m+2
         fac = _factor(ab - m, spf)
         for p, e in _factor(ab + m, spf).items():
@@ -523,15 +701,15 @@ def square_log_identity(m, bmax=80000):
         fac[2] -= 2  # both factors are even; drop the 4 to factor n4
         if fac[2] == 0:
             del fac[2]
-        n4 = (ab * ab - m * m) // 4
-        divs = _divisors(fac)
-        for b in (ab, -ab):
-            for a in divs:
-                c = n4 // a
-                if a + b + c <= 0:
-                    continue
-                if gcd(gcd(a, b), c) != 1:
-                    continue
-                s1_terms.append(m3 / (3.0 * b * (b + 2 * a) * (b + 2 * c)))
-    rhs = fsum(s1_terms) + s2 + s3
+        d = _divisors(fac)
+        divs += d
+        counts.append(len(d))
+    ab = np.repeat(np.arange(m + 2, bmax + 1, 2, dtype=np.int64), counts)
+    a = np.array(divs, dtype=np.int64)
+    c = (ab * ab - m * m) // 4 // a
+    b, a, c = np.concatenate((ab, -ab)), np.tile(a, 2), np.tile(c, 2)
+    keep = (a + b + c > 0) & (np.gcd(np.gcd(a, b), c) == 1)
+    b, a, c = b[keep], a[keep], c[keep]
+    s1_terms = float(m ** 3) / (3.0 * b * (b + 2 * a) * (b + 2 * c))
+    rhs = fsum(s1_terms.tolist()) + s2 + s3
     return lhs, rhs
