@@ -322,5 +322,11 @@ def hurwitz_table(nmax):
     """H(n) for every valid 0 < n <= nmax in one shared sweep."""
     _check_limit(nmax)
     hstar = _wells_table(nmax).tolist()
-    return {n: _hurwitz_weight(n, hstar[n]) for n in range(1, nmax + 1)
-            if n % 4 in (0, 3)}
+    # one Fraction per distinct count, shared, since Fraction is immutable
+    frac = {c: Fraction(c) for c in set(hstar)}
+    out = {n: frac[hstar[n]] for n in range(1, nmax + 1) if n % 4 in (0, 3)}
+    # the exceptional n = 3j^2 and 4j^2 of _hurwitz_weight, all 0 or 3 mod 4
+    for c, w in _AUT_WEIGHTS:
+        for j in range(1, isqrt(nmax // c) + 1):
+            out[c * j * j] = hstar[c * j * j] - 1 + w
+    return out

@@ -1,8 +1,13 @@
 """Reduction procedures for every discriminant regime, plus the Gauss and
-Zagier steps and the Omega_D parametrization of Zagier-reduced forms."""
+Zagier steps, the Omega_D parametrization of Zagier-reduced forms, and the
+divisor kernel that lists every form [a, b, c] with ac = |b^2 - D|/4."""
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
+from typing import NamedTuple
+
+import numpy as np
 
 from .contfrac import lr_decompose, normalize_parity, real_cf
 from .exact import DomainError, Rat, Surd, is_square, isqrt, surd_floor
@@ -18,8 +23,7 @@ class ReductionResult:
     negated: bool = False  # set when a negative definite input was negated
 
 
-@dataclass(frozen=True)
-class OmegaEntry:
+class OmegaEntry(NamedTuple):
     a: int
     k: int
 
@@ -245,42 +249,179 @@ def zagier_classes(D):
     return out
 
 
+# ------------------------------------------------------------ divisor kernel
+
+def _primes(n):
+    """The primes up to n, by the sieve of Eratosthenes."""
+    sieve = np.ones(max(n + 1, 2), dtype=bool)
+    sieve[:2] = False
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    return np.flatnonzero(sieve)
+
+
+def _sqrt_mod(n, p):
+    """A square root of the quadratic residue n modulo an odd prime p, by
+    Tonelli-Shanks (Cohen, GTM 138, Algorithm 1.5.1)."""
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _roots(D, primes):
+    """The pairs (p, r), r the roots of b^2 = D mod p, for odd primes p:
+    +-m for D = m^2, Tonelli-Shanks otherwise, the one root 0 for p | D."""
+    if D > 0 and is_square(D):
+        m = isqrt(D)
+        r1, r2 = m % primes, -m % primes
+        two = r2 != r1
+        return (np.concatenate((primes, primes[two])),
+                np.concatenate((r1, r2[two])))
+    ps, rs = [], []
+    for p in primes.tolist():
+        n = D % p
+        if n == 0:
+            ps.append(p)
+            rs.append(0)
+        elif pow(n, (p - 1) // 2, p) == 1:
+            r = _sqrt_mod(n, p)
+            ps += (p, p)
+            rs += (r, p - r)
+    return np.array(ps, dtype=np.int64), np.array(rs, dtype=np.int64)
+
+
+def divisor_rows(D, start, stop):
+    """Every form [a, b, c] with ac = |b^2 - D|/4 and a > 0, for b in
+    range(start, stop, 2), as int64 arrays (b, a, c): one row per positive
+    divisor a of |b^2 - D|/4, in an order fixed by the arguments.
+
+    The values are factored by sieving with the primes p up to the square
+    root of the largest one, on the roots of b^2 = D mod p; p = 2 comes from
+    the values' low bits, prime powers by repeated division on the hit
+    indices, and what the sieve leaves is 1 or a prime.  The divisors of
+    every value are then expanded together, one prime factor at a time."""
+    if D % 4 not in (0, 1):
+        raise DomainError("discriminant must be 0 or 1 mod 4")
+    if start % 2 != D % 2:
+        raise DomainError("b must have the parity of D")
+    b = np.arange(start, max(start, stop), 2, dtype=np.int64)
+    v = np.abs(b * b - D) // 4
+    if not v.all():
+        raise DomainError("b^2 = D gives no divisor rows")
+    n = len(b)
+    if n == 0:
+        return b, b.copy(), b.copy()
+    # the hits of the odd primes: index i with start + 2i = r mod p, where
+    # (p + 1)/2 is the inverse of 2
+    p, r = _roots(D, _primes(isqrt(int(v.max())))[1:])
+    first = (r - start) % p * ((p + 1) // 2) % p
+    hits = np.maximum((n - first + p - 1) // p, 0)
+    p = np.repeat(p, hits)
+    row = np.repeat(first, hits) + p * (
+        np.arange(len(p)) - np.repeat(np.cumsum(hits) - hits, hits))
+    e = np.ones(len(p), dtype=np.int64)
+    rest = v[row] // p
+    live = np.flatnonzero(rest % p == 0)
+    while live.size:
+        rest[live] //= p[live]
+        e[live] += 1
+        live = live[rest[live] % p[live] == 0]
+    # p = 2 from the low bit, then the cofactor, 1 or a prime
+    e2 = np.frexp(v & -v)[1] - 1
+    rest = v >> e2
+    np.floor_divide.at(rest, row, p ** e)
+    two, big = np.flatnonzero(e2), np.flatnonzero(rest > 1)
+    row = np.concatenate((two, row, big))
+    p = np.concatenate((np.full(len(two), 2), p, rest[big]))
+    e = np.concatenate((e2[two], e, np.ones(len(big), dtype=np.int64)))
+    # the factors of each row, by exponent, the largest last
+    order = np.argsort(row * 64 + e)
+    row, p, e = row[order], p[order], e[order]
+    nfac = np.bincount(row, minlength=n)
+    slot = np.arange(len(row)) - np.repeat(np.cumsum(nfac) - nfac, nfac)
+    ndiv = np.ones(n, dtype=np.int64)
+    np.multiply.at(ndiv, row, e + 1)
+    # the divisors, built up from the last slot to the first: a row joins
+    # with the divisor 1 at the slot of its last factor, so that every row
+    # present has a factor p^e in the slot taken, and each divisor d of it
+    # gains d p, ..., d p^e, appended at `size`
+    a = np.empty(int(ndiv.sum()), dtype=np.int64)
+    arow = np.empty_like(a)  # the row of each divisor
+    size = 0
+    p_at = np.empty(n, dtype=np.int64)
+    e_at = np.empty(n, dtype=np.int64)
+    for j in range(int(nfac.max()), -1, -1):
+        joining = np.flatnonzero(nfac == j)
+        a[size:size + len(joining)] = 1
+        arow[size:size + len(joining)] = joining
+        size += len(joining)
+        if j == 0:
+            break
+        at = slot == j - 1
+        p_at[row[at]] = p[at]
+        e_at[row[at]] = e[at]
+        last = slice(0, size)  # the divisors d p^(t-1)
+        for t in range(1, int(e[at].max()) + 1):
+            d, drow = a[last], arow[last]
+            if t > 1:
+                live = e_at[drow] >= t
+                d, drow = d[live], drow[live]
+            last = slice(size, size + len(d))
+            np.multiply(d, p_at[drow], out=a[last])
+            arow[last] = drow
+            size = last.stop
+    return b[arow], a, v[arow] // a
+
+
 # ------------------------------------------------------------------ Omega_D
+
+def _omega(D):
+    """Omega_D as int64 arrays (a, k, c) in (k, a) order, with c the last
+    coefficient of the forms [a, +-(2a - k), c]."""
+    if D <= 0:
+        raise DomainError("omega_enumerate needs D > 0")
+    root = isqrt(D)
+    kmax = root if root * root < D else root - 1
+    kmax -= (kmax - D) % 2
+    k, a, c = divisor_rows(D, -kmax, kmax + 1)
+    keep = 2 * a - k > root
+    k, a, c = k[keep], a[keep], c[keep]
+    order = np.lexsort((a, k))
+    a, k = a[order], k[order]
+    # ac = (D - k^2)/4 gives (2a - k)^2 - D = 4a(a - k - c)
+    return a, k, a - k - c[order]
+
 
 def omega_enumerate(D):
     """All (a, k) with k^2 = D mod 4, |k| < sqrt(D), a | (D-k^2)/4 and
     a > (sqrt(D)+k)/2, in (k, a) lexicographic order."""
-    if D <= 0:
-        raise DomainError("omega_enumerate needs D > 0")
-    out = []
-    root = isqrt(D)
-    kmax = root if root * root < D else root - 1
-    for k in range(-kmax, kmax + 1):
-        if (k * k - D) % 4 != 0:
-            continue
-        n = (D - k * k) // 4
-        small = [a for a in range(1, isqrt(n) + 1) if n % a == 0]
-        large = [n // a for a in reversed(small) if a * a != n]
-        for a in small + large:
-            t = 2 * a - k
-            if t > 0 and t * t > D:
-                out.append(OmegaEntry(a, k))
-    return out
+    a, k, _ = _omega(D)
+    # tuple.__new__ skips the named tuple's __new__, a Python call per entry
+    entry = partial(tuple.__new__, OmegaEntry)
+    return list(map(entry, zip(a.tolist(), k.tolist())))
 
 
 def zstar_forms(D):
     """Zagier * forms [a, k-2a, c]: a,c > 0 and a+b+c < 0."""
-    out = []
-    for e in omega_enumerate(D):
-        c = ((2 * e.a - e.k) ** 2 - D) // (4 * e.a)
-        out.append(QuadForm(e.a, e.k - 2 * e.a, c))
-    return out
+    a, k, c = _omega(D)
+    return list(map(QuadForm, a.tolist(), (k - 2 * a).tolist(), c.tolist()))
 
 
 def z_forms(D):
     """Zagier forms [a, 2a-k, c]: a,c > 0 and b > a+c."""
-    out = []
-    for e in omega_enumerate(D):
-        c = ((2 * e.a - e.k) ** 2 - D) // (4 * e.a)
-        out.append(QuadForm(e.a, 2 * e.a - e.k, c))
-    return out
+    a, k, c = _omega(D)
+    return list(map(QuadForm, a.tolist(), (2 * a - k).tolist(), c.tolist()))

@@ -38,8 +38,8 @@ import numpy as np
 from .classnum import euler_phi, hurwitz
 from .exact import DomainError, Surd, is_square, isqrt
 from .forms import QuadForm
-from .reduce import (reduce_simple_cycle, reduce_square, z_forms,
-                     zagier_classes, zstar_forms)
+from .reduce import (_primes, divisor_rows, reduce_simple_cycle,
+                     reduce_square, z_forms, zagier_classes, zstar_forms)
 from .riverword import epsilon
 from .topograph import find_river, river_blocks
 
@@ -349,24 +349,15 @@ def hurwitz_series(D, depth):
 
 
 def _all_reduced_neg(D):
-    # every reduced form of discriminant D < 0, imprimitive included
-    out = []
-    b = 0
-    while b * b <= -D // 3:
-        n4 = b * b - D
-        if n4 % 4 == 0:
-            n = n4 // 4
-            a = max(b, 1)
-            while a * a <= n:
-                if n % a == 0:
-                    c = n // a
-                    out.append(QuadForm(a, b, c))
-                    if 0 < b < a < c:
-                        out.append(QuadForm(a, -b, c))
-                a += 1
-        b += 1
-    out.sort()
-    return out
+    # every reduced form of discriminant D < 0, imprimitive included:
+    # |b| <= a <= c with b^2 <= |D|/3
+    b, a, c = divisor_rows(D, D % 2, isqrt(-D // 3) + 1)
+    keep = (a >= b) & (a <= c)
+    b, a, c = b[keep], a[keep], c[keep]
+    flip = (0 < b) & (b < a) & (a < c)
+    b = np.concatenate((b, -b[flip]))
+    a, c = np.concatenate((a, a[flip])), np.concatenate((c, c[flip]))
+    return sorted(map(QuadForm, a.tolist(), b.tolist(), c.tolist()))
 
 
 # -------------------------------------------------------------- river sums
@@ -627,89 +618,120 @@ def eisenstein_check(g=1, radius=10000):
         raise DomainError("radius too small")
     # lhs: edges of the [0,0,g] topograph mod the lake period; the edge
     # between regions g x^2 and g y^2 (x, y coprime) contributes
-    # g^2/(g x^2 + g y^2)^2, and the 0|g edge contributes 1
+    # g^2/(g x^2 + g y^2)^2, and the 0|g edge contributes 1.  The edges
+    # are walked level by level down the Stern-Brocot tree from (1, 1),
+    # (x, y) having the children (x, x+y) and (x+y, y); n = x^2 + y^2
+    # grows along every path, so the edges with n <= cutoff^2 are a subtree
     cutoff2 = min(radius, 1000) ** 2
-    g2 = float(g * g)
-    terms = []
-    stack = [(1, 1)]
-    while stack:
-        x, y = stack.pop()
+    x = y = np.ones(1, dtype=np.int64)
+    levels = []
+    while len(x):
         n = x * x + y * y
-        if n > cutoff2:
-            continue
-        terms.append(g2 / float(g * n) ** 2)
-        stack.append((x, x + y))
-        stack.append((x + y, y))
-    lhs = 1.0 + fsum(terms)
-    # rhs: (1/4) sum over nonzero coprime lattice points inside the radius
-    r2 = radius * radius
-    quad = []
-    ys = np.arange(1, radius + 1, dtype=np.int64)
-    for x0 in range(1, radius + 1, 128):
-        xs = np.arange(x0, min(x0 + 128, radius + 1), dtype=np.int64)
-        n = xs[:, None] ** 2 + ys[None, :] ** 2
-        mask = (n <= r2) & (np.gcd(xs[:, None], ys[None, :]) == 1)
-        quad.append(float(np.sum(1.0 / n[mask].astype(float) ** 2)))
-    rhs = 1.0 + fsum(quad)
+        keep = n <= cutoff2
+        x, y = x[keep], y[keep]
+        levels.append(n[keep])
+        x, y = np.concatenate((x, x + y)), np.concatenate((x + y, y))
+    n = np.concatenate(levels)
+    gn = n * g if g * cutoff2 < _LABEL_MAX else n.astype(object) * g
+    # float(g n) ** 2 is the platform pow, as _powers gives it
+    sq, _ = _powers(gn.astype(float))
+    lhs = 1.0 + fsum(_exact_parts((float(g * g) / sq)[None, :])[0])
+    # rhs: a quarter of the sum over the nonzero coprime lattice points
+    # within the radius, the four on the axes giving the 1
+    rhs = 1.0 + _coprime_lattice_sum(radius)
     return lhs, rhs
+
+
+def _isqrt(n):
+    """isqrt of each entry of an int64 array below 2^52."""
+    s = np.sqrt(n.astype(float)).astype(np.int64)
+    s -= s * s > n
+    return s + ((s + 1) * (s + 1) <= n)
+
+
+def _coprime_lattice_sum(radius):
+    """The sum of 1/(x^2 + y^2)^2 over coprime x, y >= 1 with
+    x^2 + y^2 <= radius^2, by Moebius inversion: with S_d the sum over all
+    points with x^2 + y^2 <= radius^2 // d^2, it is the sum of
+    mu(d)/d^4 S_d.  By symmetry S_d is twice the sum over y >= x, the
+    points y = x counted half, which is a sum of prefix sums of the rows
+    y >= x of the largest disc; every (d, row) term goes into one fsum."""
+    r2 = radius * radius
+    mu = np.ones(radius + 1, dtype=np.int64)
+    for p in _primes(radius).tolist():
+        mu[::p] *= -1
+        mu[::p * p] = 0
+    d = np.flatnonzero(mu[1:]) + 1
+    w = 2 * mu[d] / (d * d).astype(float) ** 2
+    R = r2 // (d * d)
+    xmax = _isqrt(R // 2)  # the rows x of disc d: 2x^2 <= R
+    terms = []
+    for x0 in range(1, int(xmax[0]) + 1, 64):
+        x = np.arange(x0, min(x0 + 64, int(xmax[0]) + 1))
+        # the prefix sums of 1/n^2, n = x^2 + (x+j)^2, over j >= 0, the
+        # term j = 0 halved, in runs of 64 plus the run totals before them
+        j = np.arange(-(-(isqrt(r2 - x0 * x0) - x0 + 1) // 64) * 64)
+        n = ((2 * x * x)[:, None] + (2 * x)[:, None] * j + j * j).astype(float)
+        t = 1.0 / (n * n)
+        t[:, 0] *= 0.5
+        rows = np.cumsum(t.reshape(len(x), -1, 64), axis=2)
+        ends = rows[:, :, -1]
+        rows += (np.cumsum(ends, axis=1) - ends)[:, :, None]
+        rows = rows.reshape(len(x), -1)
+        # every (d, x) with x in this block and x <= xmax_d
+        top = np.minimum(xmax, x[-1]) - x0 + 1
+        top = top[top > 0]  # xmax falls with d: a prefix of d
+        k = np.repeat(np.arange(len(top)), top)
+        i = np.arange(len(k)) - np.repeat(np.cumsum(top) - top, top)
+        xi = x[i]
+        terms += (w[k] * rows[i, _isqrt(R[k] - xi * xi) - xi]).tolist()
+    return fsum(terms)
 
 
 # ----------------------------------------------- square-discriminant logs
 
-def _spf_sieve(limit):
-    spf = list(range(limit + 1))
-    for p in range(2, isqrt(limit) + 1):
-        if spf[p] == p:
-            for k in range(p * p, limit + 1, p):
-                if spf[k] == k:
-                    spf[k] = p
-    return spf
-
-
-def _factor(n, spf):
-    out = {}
-    while n > 1:
-        p = spf[n]
-        out[p] = out.get(p, 0) + 1
-        n //= p
-    return out
-
-
-def _divisors(fac):
-    divs = [1]
-    for p, e in fac.items():
-        divs = [d * p ** i for d in divs for i in range(e + 1)]
-    return divs
+def _square_log_terms(m, primes, b, a, c):
+    """The S1 terms of [a, b, c] and [a, -b, c] for b > 0, as two rows, 0
+    where the form is imprimitive (a prime of m divides a, b and c) or,
+    at -b, where a + c - b <= 0."""
+    # b, 2a, 2c and their sums are integers below 2^53, exact in float64,
+    # so these are the terms on Python ints
+    fb, fa, fc = b.astype(float), 2.0 * a, 2.0 * c
+    m3 = float(m ** 3)
+    t = np.empty((2, len(b)))
+    x = 3.0 * fb  # at -b it is -x, and the term's sign flips exactly
+    np.divide(m3, x * (fb + fa) * (fb + fc), out=t[0])
+    np.divide(-m3, x * (fa - fb) * (fc - fb), out=t[1])  # b odd: no zero
+    t[1, a + c <= b] = 0.0
+    for p in primes:
+        at = np.flatnonzero(b // p * p == b)  # faster than b % p for scalar p
+        t[:, at[(a[at] % p == 0) & (c[at] % p == 0)]] = 0.0
+    return t
 
 
 def square_log_identity(m, bmax=80000):
     """Both sides of phi(m) log(m/2) = S1 + S2 + S3: the positive-vertex
-    sum, the Zagier-form sum, and the W1 boundary sum, for odd m >= 3."""
+    sum, the Zagier-form sum, and the W1 boundary sum, for odd m >= 3.
+
+    S1 runs over the primitive forms [a, b, c] of discriminant m^2 with
+    m < |b| <= bmax and a, c, a+b+c > 0, whose exact integer coefficients
+    come from the divisor kernel; its terms are summed in one math.fsum,
+    which is correctly rounded, so the value does not depend on their
+    order."""
     if m < 3 or m % 2 == 0:
         raise DomainError("needs odd m >= 3")
     D = m * m
     lhs = euler_phi(m) * log(m / 2)
     s2 = fsum(m / q.b for q in z_forms(D) if q.content() == 1)
     s3 = fsum(W1(r / m) for r in range(1, m) if gcd(r, m) == 1)
-    spf = _spf_sieve(bmax + m)
-    divs = []  # the divisors a of n4 = (b^2 - m^2)/4 for every |b|, flat
-    counts = []
-    for ab in range(m + 2, bmax + 1, 2):  # |b| odd like m, so |b| >= m+2
-        fac = _factor(ab - m, spf)
-        for p, e in _factor(ab + m, spf).items():
-            fac[p] = fac.get(p, 0) + e
-        fac[2] -= 2  # both factors are even; drop the 4 to factor n4
-        if fac[2] == 0:
-            del fac[2]
-        d = _divisors(fac)
-        divs += d
-        counts.append(len(d))
-    ab = np.repeat(np.arange(m + 2, bmax + 1, 2, dtype=np.int64), counts)
-    a = np.array(divs, dtype=np.int64)
-    c = (ab * ab - m * m) // 4 // a
-    b, a, c = np.concatenate((ab, -ab)), np.tile(a, 2), np.tile(c, 2)
-    keep = (a + b + c > 0) & (np.gcd(np.gcd(a, b), c) == 1)
-    b, a, c = b[keep], a[keep], c[keep]
-    s1_terms = float(m ** 3) / (3.0 * b * (b + 2 * a) * (b + 2 * c))
-    rhs = fsum(s1_terms.tolist()) + s2 + s3
+    # the content of a form of discriminant m^2 divides m
+    primes = [p for p in _primes(m).tolist() if m % p == 0]
+    parts = []
+    # |b| odd like m, 2048 values at a time, which bounds the memory
+    for lo in range(m + 2, bmax + 1, 4096):
+        b, a, c = divisor_rows(D, lo, min(lo + 4096, bmax + 1))
+        for i in range(0, len(b), 4 * _CHUNK):
+            rows = (x[i:i + 4 * _CHUNK] for x in (b, a, c))
+            parts += chain(*_exact_parts(_square_log_terms(m, primes, *rows)))
+    rhs = fsum(parts) + s2 + s3
     return lhs, rhs

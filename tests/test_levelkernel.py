@@ -209,32 +209,6 @@ def ref_seed_and_root_products(D):
     return seed, products
 
 
-def ref_square_log_identity(m, bmax):
-    """The former per-divisor loop of square_log_identity."""
-    D = m * m
-    lhs = series.euler_phi(m) * log(m / 2)
-    s2 = fsum(m / q.b for q in series.z_forms(D) if q.content() == 1)
-    s3 = fsum(W1(r / m) for r in range(1, m) if gcd(r, m) == 1)
-    spf = series._spf_sieve(bmax + m)
-    m3 = float(m ** 3)
-    s1_terms = []
-    for ab in range(m + 2, bmax + 1, 2):
-        fac = series._factor(ab - m, spf)
-        for p, e in series._factor(ab + m, spf).items():
-            fac[p] = fac.get(p, 0) + e
-        fac[2] -= 2
-        if fac[2] == 0:
-            del fac[2]
-        n4 = (ab * ab - m * m) // 4
-        for b in (ab, -ab):
-            for a in series._divisors(fac):
-                c = n4 // a
-                if a + b + c <= 0 or gcd(gcd(a, b), c) != 1:
-                    continue
-                s1_terms.append(m3 / (3.0 * b * (b + 2 * a) * (b + 2 * c)))
-    return lhs, fsum(s1_terms) + s2 + s3
-
-
 def _definite_discs():
     return [D for D in range(-100, -2) if D % 4 in (0, 1)]
 
@@ -460,12 +434,6 @@ def test_series_square_large_m():
     for k in (40, 60, 81):
         q = QuadForm(0, fib[k], fib[k - 1])
         assert series_square(q, 4) == ref_series_square(q, 4), k
-
-
-def test_square_log_identity_matches_reference():
-    for m, bmax in ((3, 1500), (5, 1001), (7, 901), (9, 701), (15, 801)):
-        assert (series.square_log_identity(m, bmax)
-                == ref_square_log_identity(m, bmax)), m
 
 
 # ------------------------------------------------------------- numerics
