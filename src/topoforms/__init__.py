@@ -6,10 +6,9 @@ series identities the topograph carries."""
 from .contfrac import (CFExpansion, fd_member, general_cf, lr_decompose,
                        normalize_parity, real_cf)
 from .exact import (DomainError, Rat, Surd, is_square, isqrt, surd_cmp_rat,
-                    surd_floor, surd_invert)
+                    surd_floor)
 from .forms import (ID, MAT_L, MAT_R, MAT_S, MAT_U, QuadForm, Roots, UniMat,
-                    act, content_split, discriminant, roots,
-                    turn_sequence_matrix)
+                    act, content_split, roots, turn_sequence_matrix)
 from .topograph import (EdgeCursor, RiverDescriptor, VertexView,
                         WellDescriptor, bfs_vertices, export, find_river,
                         find_well, step)

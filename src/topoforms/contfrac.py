@@ -1,9 +1,13 @@
 """Continued fractions: the classical algorithm for rationals and real surds,
 and the general algorithm for complex surds that stops on reaching the
-fundamental domain F' of the extended modular group.
+fundamental domain F' of the extended modular group.  `general_cf` and
+`lr_decompose` take their terms from the topograph's integer block walk on
+the positive definite form whose first root is the surd, and build the tail
+surd once, from the form the walk ends on.
 """
 
 from .exact import DomainError, Rat, Surd, surd_floor
+from .topograph import definite_blocks, is_reduced_neg
 
 
 class CFExpansion:
@@ -32,42 +36,31 @@ class CFExpansion:
         return f"<{bits}>"
 
 
-def _in_F(z):
-    # -1/2 <= Re z < 1/2, |z| >= 1, and x <= 0 on the unit circle; Im z > 0
-    if z.q <= 0:
-        return False
-    x2 = 2 * z.p  # compare Re = p/r against +-1/2 via 2p vs +-r
-    if not (-z.r <= x2 < z.r):
-        return False
-    n2 = z.p * z.p - z.q * z.q * z.d  # |z|^2 * r^2
-    rr = z.r * z.r
-    if n2 < rr:
-        return False
-    if n2 == rr and x2 > 0:
-        return False
-    return True
-
-
-def _in_SF(z):
-    if z.is_zero():
-        return False
-    return _in_F(z.invert().__neg__())  # z in SF iff -1/z in F
+def _definite_form(z):
+    # z = (p + q sqrt d)/r, q > 0, is the first root of [r^2, -2pr, r^2 |z|^2]
+    p, q, r, d = z.p, z.q, z.r, z.d
+    return r * r, -2 * p * r, p * p - q * q * d
 
 
 def fd_member(z, which):
-    """Exact membership of a complex surd in F, F' or F∪SF."""
+    """Exact membership of a complex surd in F, F' or F∪SF.  A z in the
+    upper half plane lies in F exactly when the definite form whose first
+    root it is is reduced, and in SF when that form's S image is; F' is
+    F ∪ SF ∪ -F ∪ -SF and holds 0."""
     if z.d >= 0:
         raise DomainError("fundamental-domain test needs a complex surd")
-    if which == "F":
-        return _in_F(z)
-    if which == "F_or_SF":
-        return _in_F(z) or _in_SF(z)
+    if which not in ("F", "F_or_SF", "F_prime"):
+        raise DomainError(f"unknown domain {which!r}")
     if which == "F_prime":
         if z.is_zero():
             return True
-        nz = -z
-        return _in_F(z) or _in_SF(z) or _in_F(nz) or _in_SF(nz)
-    raise DomainError(f"unknown domain {which!r}")
+        if z.q < 0:
+            z = -z
+    if z.q <= 0:
+        return False
+    a, b, c = _definite_form(z)
+    return is_reduced_neg((a, b, c)) or (
+        which != "F" and is_reduced_neg((c, -b, a)))
 
 
 def real_cf(x):
@@ -134,19 +127,18 @@ def general_cf(z):
         raise DomainError("general_cf of zero")
     if z.is_rational():
         return real_cf(Rat(z.p, z.r))
-    cap = 10 * (z.p * z.p - z.q * z.q * z.d + z.r * z.r).bit_length() + 64
-    terms = []
-    cur = z
-    for _ in range(cap):
-        m = cur.p // cur.r  # floor of the real part
-        for delta in (0, 1):
-            w = cur - (m + delta)
-            if fd_member(w, "F_prime"):
-                terms.append(m + delta)
-                return CFExpansion(terms, tail=w)
-        terms.append(m)
-        cur = (cur - m).invert()
-    raise AssertionError("general_cf failed to terminate within its cap")
+    # in the lower half plane z = 1/zeta for the first root zeta of the
+    # reversed form, and the walk starts with an R block
+    if z.q > 0:
+        word, (A, B, C) = definite_blocks(_definite_form(z), "L")
+    else:
+        word, (A, B, C) = definite_blocks(_definite_form(z)[::-1], "R")
+    t = 2 * z.r * abs(z.q)
+    if word[-1][0] == "L":
+        tail = Surd(-B, t, 2 * A, z.d)
+    else:
+        tail = Surd(-B, -t, 2 * C, z.d)
+    return CFExpansion([k for _, k in word], tail=tail)
 
 
 def lr_decompose(z):
@@ -154,13 +146,8 @@ def lr_decompose(z):
     z1 in F ∪ SF; needs_S is true when z1 lies in SF (append S to the word)."""
     if z.d >= 0 or z.q <= 0:
         raise DomainError("lr_decompose wants an upper-half-plane surd")
-    cf = general_cf(z)
-    terms, z0 = cf.terms, cf.tail
-    word = [("L" if i % 2 == 0 else "R", a) for i, a in enumerate(terms)]
-    r = len(terms) - 1
-    z1 = z0 if r % 2 == 0 else z0.invert()
-    if _in_F(z1):
-        return word, z1, False
-    if not _in_SF(z1):
-        raise AssertionError("tail left F ∪ SF after parity fix")
-    return word, z1, True
+    word, g = definite_blocks(_definite_form(z))
+    # z1 is the first root of the end form, the tail z0 after an L block
+    # and 1/z0 after an R block; it lies in F when the form is reduced
+    z1 = Surd(-g[1], 2 * z.r * z.q, 2 * g[0], z.d)
+    return word, z1, not is_reduced_neg(g)

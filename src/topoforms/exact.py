@@ -206,8 +206,6 @@ class Surd:
                     self.r * other.r, self.d)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Rat)):
-            return self + (-other)
         return self + (-other)
 
     def __neg__(self):
@@ -257,15 +255,6 @@ class Surd:
     def floor(self):
         return surd_floor(self)
 
-    def re(self):
-        return Rat(self.p, self.r)
-
-    def abs2(self):
-        # |z|^2 for d < 0
-        if self.d > 0:
-            raise DomainError("abs2 is for complex surds")
-        return Rat(self.p * self.p - self.q * self.q * self.d, self.r * self.r)
-
     def __float__(self):
         return (self.p + self.q * math.sqrt(self.d)) / self.r
 
@@ -286,10 +275,6 @@ def surd_floor(x):
     else:
         t = x.p - rt - 1  # -q sqrt d, irrational so always rounds down
     return t // x.r
-
-
-def surd_invert(x):
-    return x.invert()
 
 
 def surd_cmp_rat(x, y):

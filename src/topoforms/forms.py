@@ -43,6 +43,12 @@ class QuadForm(tuple):
         return f"[{self[0]},{self[1]},{self[2]}]"
 
 
+def _mul(m, n):
+    a, b, c, d = m
+    e, f, g, h = n
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
 class UniMat(tuple):
     """2x2 integer matrix (alpha, beta; gamma, delta) of determinant +-1."""
 
@@ -72,9 +78,7 @@ class UniMat(tuple):
         return self[0] * self[3] - self[1] * self[2]
 
     def __matmul__(self, other):
-        a, b, c, d = self
-        e, f, g, h = other
-        return UniMat(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        return UniMat(*_mul(self, other))
 
     def inverse(self):
         a, b, c, d = self
@@ -104,10 +108,6 @@ MAT_L = UniMat(1, 1, 0, 1)
 MAT_R = UniMat(1, 0, 1, 1)
 MAT_S = UniMat(0, -1, 1, 0)
 MAT_U = UniMat(1, -1, 1, 0)
-
-
-def discriminant(q):
-    return q.discriminant()
 
 
 def act(q, m, allow_flip=False):
@@ -177,29 +177,38 @@ def mobius(m, x):
     return num * den.invert()
 
 
+def _run_product(word):
+    # the product of a few letters, one letter at a time
+    al, be, ga, de = 1, 0, 0, 1
+    for letter, e in word:
+        if letter == "L":
+            be, de = al * e + be, ga * e + de
+        elif letter == "R":
+            al, ga = al + be * e, ga + de * e
+        elif letter == "S":
+            al, be, ga, de = be, -al, de, -ga
+        else:
+            raise DomainError(f"unknown letter {letter!r}")
+    return al, be, ga, de
+
+
 def turn_sequence_matrix(word):
     """Product of the word's letters: L^a0 R^a1 ... (S allowed, exponent 1).
 
-    The letters are multiplied pairwise, level by level, so that a long word
-    whose product has large entries costs a few full-size products rather
-    than one per letter."""
-    mats = []
-    for letter, e in word:
-        if letter == "L":
-            mats.append(UniMat(1, e, 0, 1))
-        elif letter == "R":
-            mats.append(UniMat(1, 0, e, 1))
-        elif letter == "S":
-            mats.append(MAT_S)
-        else:
-            raise DomainError(f"unknown letter {letter!r}")
+    Runs of 16 letters are multiplied one letter at a time, and the runs'
+    products pairwise, level by level, so that a long word whose product
+    has large entries costs a few full-size products rather than one per
+    letter."""
+    word = list(word)
+    mats = [_run_product(word[i:i + 16]) for i in range(0, len(word), 16)]
     while len(mats) > 1:
         pairs = iter(mats)
-        paired = [x @ y for x, y in zip(pairs, pairs)]
+        paired = list(map(_mul, pairs, pairs))
         if len(mats) % 2:
             paired.append(mats[-1])
         mats = paired
-    return mats[0] if mats else ID
+    # a product of letters is unimodular by construction
+    return tuple.__new__(UniMat, mats[0]) if mats else ID
 
 
 def content_split(q):

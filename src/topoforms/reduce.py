@@ -9,10 +9,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .contfrac import lr_decompose, normalize_parity, real_cf
-from .exact import DomainError, Rat, Surd, is_square, isqrt, surd_floor
-from .forms import ID, MAT_S, QuadForm, UniMat, act, roots, turn_sequence_matrix
-from .topograph import block_step, river_blocks, root_path
+from .exact import DomainError, is_square, isqrt
+from .forms import QuadForm, UniMat, turn_sequence_matrix
+from .topograph import (block_step, definite_blocks, floor_root,
+                        is_reduced_neg, river_blocks, root_path,
+                        square_reduction)
 
 
 @dataclass(frozen=True)
@@ -29,15 +30,6 @@ class OmegaEntry(NamedTuple):
 
 
 # ---------------------------------------------------------------- predicates
-
-def is_reduced_neg(q):
-    a, b, c = q
-    if not (abs(b) <= a <= c):
-        return False
-    if (abs(b) == a or a == c) and b < 0:
-        return False
-    return True
-
 
 def is_reduced_square(q):
     a, b, c = q
@@ -76,30 +68,17 @@ def reduce_negative(q):
     matrix certificate and the turn word that found it."""
     if q.discriminant() >= 0:
         raise DomainError("reduce_negative needs negative discriminant")
-    negated = False
-    w = q
-    if w.a < 0:
-        w = -w
-        negated = True
-    z = roots(w).first  # in the upper half plane since a > 0
-    word, _, needs_s = lr_decompose(z)
-    steps = list(word)
-    m = turn_sequence_matrix(word)
-    if needs_s:
-        m = m @ MAT_S
+    negated = q.a < 0
+    # the walk into F' ends on the reduced form or on its S image
+    steps, (a, b, c) = definite_blocks(-q if negated else q)
+    if not is_reduced_neg((a, b, c)):
         steps.append(("S", 1))
-    canonical = act(w, m)
-    if not is_reduced_neg(canonical):  # pragma: no cover
-        raise AssertionError(f"reduction landed on {canonical}")
-    return ReductionResult(canonical, m, tuple(steps), negated)
+        a, b, c = c, -b, a
+    return ReductionResult(QuadForm(a, b, c), turn_sequence_matrix(steps),
+                           tuple(steps), negated)
 
 
 # ------------------------------------------------------------------- square
-
-def _cf_word_matrix(terms):
-    word = [("L" if i % 2 == 0 else "R", a) for i, a in enumerate(terms)]
-    return word, turn_sequence_matrix(word)
-
 
 def reduce_square(q):
     """Reduce a square-discriminant form to [0,m,c] with 0 < c <= m by the
@@ -107,42 +86,9 @@ def reduce_square(q):
     D = q.discriminant()
     if D <= 0 or not is_square(D):
         raise DomainError("reduce_square needs a positive square discriminant")
-    m = isqrt(D)
-    steps = []
-    mat = ID
-    cur = q
-    z = roots(cur).first
-    if not z.is_infinite():
-        cf = normalize_parity(real_cf(z), want_odd_index=True)
-        word, m1 = _cf_word_matrix(cf.terms)
-        steps += word
-        mat = mat @ m1
-        cur = act(cur, m1)
-    if not (cur.a == 0 and cur.b == -m):  # pragma: no cover
-        raise AssertionError(f"first leg missed the right lake: {cur}")
-    z2 = roots(cur).second  # = -c/b, finite
-    cf = normalize_parity(real_cf(z2), want_odd_index=True)
-    word, m2 = _cf_word_matrix(cf.terms)
-    steps += word
-    mat = mat @ m2
-    cur = act(cur, m2)
-    if not (cur.a == 0 and cur.b == m):  # pragma: no cover
-        raise AssertionError(f"second leg missed the left lake: {cur}")
-    if cur == QuadForm(0, m, 0):
-        lmat = UniMat(1, 1, 0, 1)
-        mat = mat @ lmat
-        steps.append(("L", 1))
-        cur = act(cur, lmat)
-    # safety net: translate c into (0, m]
-    while cur.c <= 0 or cur.c > m:  # pragma: no cover
-        k = 1 if cur.c <= 0 else -1
-        lmat = UniMat(1, k, 0, 1)
-        mat = mat @ lmat
-        steps.append(("L", k))
-        cur = act(cur, lmat)
-    if not is_reduced_square(cur):  # pragma: no cover
-        raise AssertionError(f"square reduction landed on {cur}")
-    return ReductionResult(cur, mat, tuple(steps))
+    steps, canonical = square_reduction(q)
+    return ReductionResult(canonical, turn_sequence_matrix(steps),
+                           tuple(steps))
 
 
 # ------------------------------------------------------------- simple cycle
@@ -187,9 +133,9 @@ def gauss_step(q):
         raise DomainError("gauss_step needs non-square D > 0")
     if c == 0:
         raise DomainError("gauss_step needs c != 0")
-    sgn = 1 if c > 0 else -1
-    k = sgn * surd_floor(Surd(b, 1, 2 * abs(c), D))
-    return act(q, UniMat(0, -1, 1, k))
+    # k = sgn(c) floor((b + sqrt(D)) / (2|c|)), and q | (0 -1; 1 k)
+    k = floor_root(b, 1, 2 * abs(c), isqrt(D)) * (1 if c > 0 else -1)
+    return QuadForm(c, 2 * c * k - b, (c * k - b) * k + a)
 
 
 def zagier_step(q):
@@ -200,8 +146,7 @@ def zagier_step(q):
     if a == 0:
         raise DomainError("zagier_step needs a != 0")
     # k = ceil((b + sqrt(D)) / (2a)), where (b + sqrt(D)) / (2a) is irrational
-    r = isqrt(D)
-    k = (b + r) // (2 * a) + 1 if a > 0 else -((b + r) // (-2 * a))
+    k = floor_root(b, 1, 2 * a, isqrt(D)) + 1
     # q | (k 1; -1 0)
     return QuadForm(a * k * k - b * k + c, 2 * a * k - b, a)
 

@@ -2,14 +2,13 @@
 encodings of classes, symmetry flags, and wide-sense class numbers."""
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import groupby
 from math import gcd
 
 from .classnum import euler_phi, h_neg, h_pos
 from .exact import DomainError, Surd, is_square, isqrt
-from .forms import (MAT_L, MAT_R, ID, QuadForm, UniMat, act,
-                    turn_sequence_matrix)
-from .topograph import river_blocks
+from .forms import QuadForm, UniMat, act, turn_sequence_matrix
+from .topograph import river_blocks, square_reduction, square_river_blocks
 
 
 @dataclass(frozen=True)
@@ -100,13 +99,6 @@ def pell_fundamental(D):
     if t * t - D * u * u != 4:  # pragma: no cover
         raise AssertionError("river matrix did not solve the Pell equation")
     return PellSolution(t, u, 4)
-
-
-def _word_matrix(letters):
-    m = ID
-    for x in letters:
-        m = m @ (MAT_L if x in ("L", "0") else MAT_R)
-    return m
 
 
 def negative_pell(D):
@@ -201,11 +193,17 @@ def necklace_of(x):
     return Necklace("".join(("0" if c == "L" else "1") * k for c, k in word))
 
 
+def _bits_matrix(bits):
+    # the product of the turns 0 = L and 1 = R, one block per run
+    return turn_sequence_matrix([("L" if bit == "0" else "R", len(list(run)))
+                                 for bit, run in groupby(bits)])
+
+
 def topograph_of_necklace(n):
     """Primitive simple form whose river period reads the given necklace."""
     if not isinstance(n, Necklace):
         n = Necklace(n)
-    al, be, ga, de = _word_matrix(n.bits)
+    al, be, ga, de = _bits_matrix(n.bits)
     g = gcd(gcd(ga, de - al), be)
     return QuadForm(ga // g, (de - al) // g, -be // g)
 
@@ -216,46 +214,28 @@ def word_of(q):
     """Binary word of a primitive square-discriminant topograph: the river's
     run-length letters with the first and last symbols removed.  D=1 has no
     river at all and returns None; D=4 returns the empty word."""
-    from .contfrac import normalize_parity, real_cf
-    from .exact import Rat
-    from .reduce import reduce_square
-
     D = q.discriminant()
     if D <= 0 or not is_square(D):
         raise DomainError("word_of needs square D >= 1")
     if q.content() != 1:
         raise DomainError("word_of needs a primitive form")
-    m = isqrt(D)
-    if m == 1:
+    if D == 1:
         return None
-    r = reduce_square(q).canonical.c
-    cf = normalize_parity(real_cf(Rat(m, r)), want_odd_index=True)
-    letters = []
-    for i, a in enumerate(cf.terms):
-        letters.extend(["0" if i % 2 == 0 else "1"] * a)
-    return "".join(letters[1:-1])
+    word = square_river_blocks(square_reduction(q)[1])
+    bits = "".join(("0" if letter == "L" else "1") * k for letter, k in word)
+    return bits[1:-1]
 
 
 def topograph_of_word(w):
     """Inverse of word_of: pad a 0 at each end, read run lengths as the
-    continued fraction of m/r, and return [0, m, r]."""
+    continued fraction of m/r, and return [0, m, r]; the word's matrix
+    L^t0 R^t1 ... L^tn is (p' m; q' r) with m/r in lowest terms."""
     if w is None:
         return QuadForm(0, 1, 1)
     if set(w) - {"0", "1"}:
         raise DomainError("word bits must be 0/1")
-    padded = "0" + w + "0"
-    terms = []
-    prev = None
-    for c in padded:
-        if c == prev:
-            terms[-1] += 1
-        else:
-            terms.append(1)
-            prev = c
-    val = Fraction(terms[-1])
-    for t in reversed(terms[:-1]):
-        val = t + 1 / val
-    return QuadForm(0, val.numerator, val.denominator)
+    _, m, _, r = _bits_matrix("0" + w + "0")
+    return QuadForm(0, m, r)
 
 
 # ------------------------------------------------------------------- symmetry

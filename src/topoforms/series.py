@@ -41,7 +41,7 @@ from .forms import QuadForm
 from .reduce import (_primes, divisor_rows, reduce_simple_cycle,
                      reduce_square, z_forms, zagier_classes, zstar_forms)
 from .riverword import epsilon
-from .topograph import find_river, river_blocks
+from .topograph import find_river, river_blocks, square_river_blocks
 
 # the two Poincare-series evaluations the identities rest on
 POINCARE_ALL_ONES = 3 * pi / 2
@@ -521,7 +521,7 @@ def series_seed(D):
             if gcd(r, m) != 1:
                 continue
             q = QuadForm(0, m, r)
-            key = (len(find_river(q).edges), r)
+            key = (sum(k for _, k in square_river_blocks(q)), r)
             if best is None or key < best[0]:
                 best = (key, q)
         return best[1]

@@ -1,6 +1,6 @@
-"""Topograph navigation: directed-edge cursors, vertex views, BFS, river and
-well location, the integer block walk along root paths and rivers, and
-dot/json export.
+"""Topograph navigation: directed-edge cursors, vertex views, BFS, the
+integer block walk that reduces forms of every discriminant and locates
+wells and rivers, and dot/json export.
 
 The tree is never materialized; a cursor is a form plus the turn word that
 produced it, and every neighbour is reached by one of the moves of step().
@@ -8,6 +8,7 @@ produced it, and every neighbour is reached by one of the moves of step().
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 
 from .exact import DomainError, is_square, isqrt
@@ -48,14 +49,20 @@ class TurnPath:
     def __len__(self):
         return self._len
 
-    def __iter__(self):
+    def runs(self):
+        """The path as (turn, count) runs, first to last."""
         runs = []
         node = self
         while node is not None:
-            runs.append(node)
+            if node.count:
+                runs.append((node.turn, node.count))
             node = node.prefix
-        for run in reversed(runs):
-            yield from repeat(run.turn, run.count)
+        runs.reverse()
+        return runs
+
+    def __iter__(self):
+        for turn, count in self.runs():
+            yield from repeat(turn, count)
 
     def __eq__(self, other):
         if not isinstance(other, (TurnPath, tuple)):
@@ -154,80 +161,185 @@ def bfs_vertices(root, max_depth):
         frontier = nxt
 
 
-def find_well(q):
-    """Descend a definite topograph to its unique well.
-
-    Each move goes to a strictly smaller neighbouring region (the climbing
-    lemma guarantees termination); the well is the edge [a,0,c] or the
-    vertex whose three outgoing labels are all positive.
-    """
-    if q.discriminant() >= 0:
-        raise DomainError("find_well needs negative discriminant")
-    if q.a < 0 or q.c < 0:
-        raise DomainError("negative definite; negate the form first")
-    cur = EdgeCursor(q)
-    while True:
-        a, b, c = cur.form
-        if b == 0:
-            return WellDescriptor("edge_well", cur, (a, c))
-        if b < 0:
-            cur = step(cur, "S")  # reorient so the positive label points out
-            continue
-        # tail out-labels are (b, 2a-b, 2c-b); all positive means well,
-        # a zero label is an edge well, and crossing a negative label
-        # replaces the opposite region r by r + 2*label (strictly smaller)
-        back = step(cur, "S")
-        if 2 * a - b == 0:
-            at = step(back, "R")
-            return WellDescriptor("edge_well", at, (at.form.a, at.form.c))
-        if 2 * c - b == 0:
-            at = step(back, "L")
-            return WellDescriptor("edge_well", at, (at.form.a, at.form.c))
-        if 2 * a - b > 0 and 2 * c - b > 0:
-            return WellDescriptor("vertex_well", cur, (b, 2 * a - b, 2 * c - b))
-        cur = step(back, "R") if 2 * a - b < 0 else step(back, "L")
-
-
 # ------------------------------------------------------------- block walk
 #
-# For non-square D > 0 a whole partial quotient is one step: L^k = (1 k; 0 1)
-# and R^k = (1 0; k 1) move a form by
+# A whole partial quotient is one step: L^k = (1 k; 0 1) and R^k = (1 0; k 1)
+# move a form by
 #     [a, b, c] | L^k = [a, b + 2ka, a k^2 + b k + c]
 #     [a, b, c] | R^k = [a + b k + c k^2, b + 2kc, c]
-# and every k is an exact integer floor of a root (b' +- sqrt(D)) / (2a')
-# computed with s = isqrt(D) once.
+# The walk follows the first root zeta = (-b + sqrt D)/(2a): an L block of k
+# turns leaves zeta - k, an R block 1/zeta - k, 1/zeta = (-b - sqrt D)/(2c).
+# k is an exact integer floor fixed by D, and each regime stops at its own
+# integer test: F' for D < 0, a lake for square D, a simple form (and then
+# the period's end) for non-square D > 0.
 
-def _floor_root(p, sign, r, s):
-    # floor((p + sign * sqrt(D)) / r) for non-square D with s = isqrt(D)
+_quad_form = partial(tuple.__new__, QuadForm)  # for triples of ints
+
+
+def is_reduced_neg(q):
+    a, b, c = q
+    return abs(b) <= a <= c and not ((abs(b) == a or a == c) and b < 0)
+
+
+def floor_root(p, sign, r, s):
+    """floor((p + sign * sqrt(D)) / r) for non-square D with s = isqrt(D)."""
     if r < 0:
         p, sign, r = -p, -sign, -r
     return (p + s) // r if sign > 0 else (p - s - 1) // r
 
 
+def _block(a, b, c, letter, k):
+    if letter == "L":
+        return a, b + 2 * k * a, (a * k + b) * k + c
+    return (c * k + b) * k + a, b + 2 * k * c, c
+
+
 def block_step(form, letter, k):
     """form | L^k or form | R^k, for any integer k."""
+    return QuadForm(*_block(*form, letter, k))
+
+
+def walk(form, letter, stop, cap=None):
+    """Alternate L and R blocks from `form`, the first one `letter`.  An L
+    block takes k = floor(zeta) turns and an R block k = floor(1/zeta): of
+    the real part for D < 0; exact for square D, where a lake (a or c zero)
+    leaves the finite root -c/b or its inverse -a/b; through s = isqrt(D)
+    for non-square D > 0.  The walk ends after the first block whose form
+    meets stop(a, b, c, letter, k), which returns None to go on, or the
+    turns j that block takes beyond k (j < 0 takes turns back).  Returns
+    the blocks (letter, k), zero blocks included, and the end form.  Past
+    `cap` blocks it raises AssertionError."""
     a, b, c = form
+    D = b * b - 4 * a * c
+    s = isqrt(max(D, 0))
+    irrational = s * s != D
+    word = []
+    for _ in repeat(None) if cap is None else range(cap):
+        # zeta or 1/zeta is (p + sqrt D)/r
+        p, r = (-b, 2 * a) if letter == "L" else (b, -2 * c)
+        if D < 0:
+            k = p // r
+        elif r > 0:
+            k = (p + s) // r
+        elif r:  # floor((-p - sqrt D)/-r), one less when sqrt D is irrational
+            k = (-p - s - irrational) // -r
+        else:
+            k = -(c if letter == "L" else a) // b
+        if letter == "L":  # _block, inline on the hot path
+            b, c = b + 2 * k * a, (a * k + b) * k + c
+        else:
+            a, b = (c * k + b) * k + a, b + 2 * k * c
+        j = stop(a, b, c, letter, k)
+        if j:
+            a, b, c = _block(a, b, c, letter, j)
+            k += j
+        word.append((letter, k))
+        if j is not None:
+            return word, (a, b, c)
+        letter = "R" if letter == "L" else "L"
+    raise AssertionError("block walk failed to stop within its cap")
+
+
+def turn_path(word, path=TurnPath()):
+    """`path` followed by the turns of a block word: (L, k) is k turns L,
+    or |k| turns Li for k < 0, and likewise for R; (S, 1) is S."""
+    for letter, k in word:
+        path = path.then(letter if k > 0 else letter + "i", abs(k))
+    return path
+
+
+def _enters_fprime(a, b, c, letter, k):
+    # the term is the floor m of the real part, or m + 1, whichever leaves
+    # the tail in F' = F u SF u -F u -SF: the form or its S image is reduced
+    for j in (0, 1):
+        a1, b1, c1 = _block(a, b, c, letter, j)
+        if is_reduced_neg((a1, b1, c1)) or is_reduced_neg((c1, -b1, a1)):
+            return j
+    return None
+
+
+def definite_blocks(form, letter="L"):
+    """The general continued fraction of a positive definite form's first
+    root, the first block `letter`, and the end form: its first root is the
+    tail in F' after an L block and the tail's inverse after an R block, and
+    it or its S image is reduced."""
+    a, b, c = form
+    return walk(form, letter, _enters_fprime, 10 * (a + c).bit_length() + 64)
+
+
+def find_well(q):
+    """The well of a definite topograph, at the form g the walk into F' ends
+    on: the edge g = [a,0,c], or else the tail of whichever of g and g|S has
+    b > 0, where the three outgoing labels (b, 2a - b, 2c - b) are positive.
+    The number of blocks walked is bounded by the coefficients' bit length."""
+    if q.discriminant() >= 0:
+        raise DomainError("find_well needs negative discriminant")
+    if q.a < 0 or q.c < 0:
+        raise DomainError("negative definite; negate the form first")
+    word, (a, b, c) = definite_blocks(q)
+    path = turn_path(word)
+    if b < 0:  # reorient so the positive label points out
+        a, b, c, path = c, -b, a, path.then("S")
+    at = EdgeCursor(QuadForm(a, b, c), path)
+    if b == 0:
+        return WellDescriptor("edge_well", at, (a, c))
+    return WellDescriptor("vertex_well", at, (b, 2 * a - b, 2 * c - b))
+
+
+def _lake(m):
+    # the legs for D = m^2 end where zeta - k = 0 leaves [a, m, 0] after an
+    # L block, or 1/zeta - k = 0 leaves the lake [0, -m, c] after an R block
+    return lambda a, b, c, letter, k: 0 if (
+        b == m and c == 0 if letter == "L" else b == -m and a == 0) else None
+
+
+def _to_lake(form, stop):
+    # one leg, the rational first root's continued fraction; an L end takes
+    # the parity rule <..., a_n> = <..., a_n - 1, 1> to end on the lake too
+    word, (a, b, c) = walk(form, "L", stop)
+    letter, k = word[-1]
     if letter == "L":
-        return QuadForm(a, b + 2 * k * a, (a * k + b) * k + c)
-    return QuadForm((c * k + b) * k + a, b + 2 * k * c, c)
+        word[-1:] = [("L", k - 1), ("R", 1)]
+        a, b, c = _block(*_block(a, b, c, "L", -1), "R", 1)
+    return word, (a, b, c)
 
 
-def _needs_real(D):
-    if D <= 0 or is_square(D):
-        raise DomainError("the block walk needs non-square D > 0")
+def square_reduction(q):
+    """The blocks from a form of square D = m^2 > 0 to the reduced form
+    [0, m, c], 0 < c <= m, of its class, and that form: the first root's leg
+    to the right lake (none when that root is infinite), then the second
+    root's leg, the first root's of the negated form, to the left lake.  If
+    that leg's matrix is (alpha beta; gamma delta), it ends on c = delta m /
+    gamma, and its last block R^k, k > 0, gives 0 < delta <= gamma."""
+    D = q.discriminant()
+    m = isqrt(max(D, 0))
+    if D <= 0 or m * m != D:
+        raise DomainError("the square walk needs square D > 0")
+    stop = _lake(m)
+    a, b, c = q
+    word = []
+    if a or b > 0:
+        word, (a, b, c) = _to_lake((a, b, c), stop)
+    back, (a, b, c) = _to_lake((-a, -b, -c), stop)
+    return word + back, QuadForm(-a, -b, -c)
+
+
+def square_river_blocks(q0):
+    """The river of the reduced square-D form q0 = [0, m, r] as blocks: the
+    leg of m/r, the first root of the lake edge [r, -m, 0] = q0|S.  Its
+    first and last unit turns cross from and onto the lakes."""
+    _, m, r = q0
+    return _to_lake((r, -m, 0), _lake(m))[0]
 
 
 @dataclass(frozen=True)
 class RootPath:
     """The first root's continued fraction from a form to its river, in
     whole blocks: `word` holds the nonzero (letter, k) blocks up to the first
-    block that ends on a simple form (a > 0 > c), `form` is that form, and
-    `overshoot` counts the unit turns of the last block taken after the walk
-    first met a simple form."""
+    block that ends on a simple form (a > 0 > c), and `form` is that form."""
 
     word: tuple
     form: QuadForm
-    overshoot: int
 
 
 def root_path(q):
@@ -236,31 +348,15 @@ def root_path(q):
     continued fraction.  The number of blocks is bounded by a multiple of
     the coefficients' bit length."""
     D = q.discriminant()
-    _needs_real(D)
-    s = isqrt(D)
+    if D <= 0 or is_square(D):
+        raise DomainError("the block walk needs non-square D > 0")
     a, b, c = q
-    cap = 10 * (abs(a) + abs(b) + abs(c)).bit_length() + 64
-    word = []
-    letter = "L"
-    overshoot = 0
-    for _ in range(cap):
-        if a > 0 > c:
-            return RootPath(tuple(word), QuadForm(a, b, c), overshoot)
-        # L takes floor(zeta) turns and R floor(1/zeta), where
-        # 1/zeta = (-b - sqrt D)/(2c)
-        sign, r = (1, 2 * a) if letter == "L" else (-1, 2 * c)
-        k = _floor_root(-b, sign, r, s)
-        if k:
-            word.append((letter, k))
-            na, nb, nc = block_step((a, b, c), letter, k)
-            if k > 0 and na > 0 > nc:
-                # turn j of the block lands on a simple form exactly when j
-                # lies between the two roots of the form's values there
-                first = max(1, _floor_root(-b, -sign, r, s) + 1)
-                overshoot = k - first
-            a, b, c = na, nb, nc
-        letter = "R" if letter == "L" else "L"
-    raise AssertionError("root path failed to reach the river")
+    if a > 0 > c:
+        return RootPath((), q)
+    word, end = walk(q, "L", lambda a, b, c, letter, k: (
+        0 if a > 0 > c else None),
+        10 * (abs(a) + abs(b) + abs(c)).bit_length() + 64)
+    return RootPath(tuple(x for x in word if x[1]), QuadForm(*end))
 
 
 @dataclass(frozen=True)
@@ -280,91 +376,81 @@ def river_blocks(q0):
     floor((-b + sqrt D)/(2a)) times, or R floor((b + sqrt D)/(-2c)) times;
     the period ends where a block passes q0 again, possibly mid-block."""
     D = q0.discriminant()
-    _needs_real(D)
+    if D <= 0 or is_square(D):
+        raise DomainError("the block walk needs non-square D > 0")
     a0, b0, c0 = q0
     if not a0 > 0 > c0:
         raise DomainError("the river walk starts at a simple form a > 0 > c")
-    s = isqrt(D)
-    word = []
-    forms = []
-    cur = q0
-    letter = "L" if a0 + b0 + c0 < 0 else "R"
-    while True:
-        a, b, c = cur
-        forms.append(cur)
+    forms = [q0]
+
+    def passes_q0(a, b, c, letter, k):
         # an L block keeps a and adds 2a to b at each turn, an R block keeps
-        # c and adds 2c; it passes q0 when q0 lies on that line
+        # c and adds 2c; it passes q0 when q0 lies on that line within it,
+        # and otherwise the next block starts at [a, b, c]
         if letter == "L":
-            k = (s - b) // (2 * a)
             on_line, inc = a == a0, 2 * a
         else:
-            k = (s + b) // (-2 * c)
             on_line, inc = c == c0, 2 * c
         if on_line:
             back, off = divmod(b0 - b, inc)
-            if off == 0 and 0 < back <= k:
-                word.append((letter, back))
-                return RiverBlocks(tuple(word), tuple(forms))
-        word.append((letter, k))
-        cur = block_step(cur, letter, k)
-        letter = "R" if letter == "L" else "L"
+            if off == 0 and -k < back <= 0:
+                return back
+        forms.append(_quad_form((a, b, c)))
+        return None
+
+    word, _ = walk(q0, "L" if a0 + b0 + c0 < 0 else "R", passes_q0)
+    return RiverBlocks(tuple(word), tuple(forms))
 
 
 def find_river(q):
     """Locate the river: one full period for non-square D>0, or the whole
-    lake-to-lake stretch for square D."""
+    lake-to-lake stretch for square D.  Every edge's path replays from q."""
     D = q.discriminant()
     if D <= 0:
         raise DomainError("find_river needs positive discriminant")
     if is_square(D):
-        return _find_river_square(q)
+        # the river runs from the lake edge [r, -m, 0] = [0, m, r]|S to the
+        # right lake; its first and last unit turns cross from and onto the
+        # lakes, and the edges are the forms after every turn but the last
+        steps, q0 = square_reduction(q)
+        _, m, r = q0
+        edges, letters = _unit_edges(square_river_blocks(q0), (r, -m, 0),
+                                     turn_path(steps).then("S"))
+        return RiverDescriptor("finite", tuple(edges[1:]),
+                               tuple(letters[1:-1]))
     # the period starts at the first simple form on the first root's path
     root = root_path(q)
-    path = TurnPath()
-    for letter, k in root.word:
-        path = path.then(letter if k > 0 else letter + "i", abs(k))
+    path = turn_path(root.word)
     anchor = root.form
-    if root.overshoot:
-        letter, _ = root.word[-1]
-        anchor = block_step(anchor, letter, -root.overshoot)
-        path = TurnPath(path.prefix, path.turn, path.count - root.overshoot)
+    if root.word and root.word[-1][1] > 0:
+        # turn j of the last block lands on a simple form exactly when j
+        # lies between the two roots of the form's values at its start
+        letter, k = root.word[-1]
+        a, b, c = block_step(anchor, letter, -k)
+        sign, r = (1, 2 * a) if letter == "L" else (-1, 2 * c)
+        back = k - max(1, floor_root(-b, -sign, r, isqrt(D)) + 1)
+        anchor = block_step(anchor, letter, -back)
+        path = TurnPath(path.prefix, path.turn, path.count - back)
+    edges, letters = _unit_edges(river_blocks(anchor).word, anchor, path)
+    return RiverDescriptor("periodic", tuple(edges), tuple(letters))
+
+
+def _unit_edges(word, form, path):
+    # one cursor per unit turn of the blocks, on the form before the turn
+    # and with the path to it, and the letters of the turns
     edges = []
-    word = []
-    period = river_blocks(anchor)
-    for (letter, k), (a, b, c) in zip(period.word, period.forms):
+    letters = []
+    a, b, c = form
+    for letter, k in word:
         for j in range(k):
             edges.append(EdgeCursor(QuadForm(a, b, c), path.then(letter, j)))
             if letter == "L":
                 a, b, c = a, b + 2 * a, a + b + c
             else:
                 a, b, c = a + b + c, b + 2 * c, c
-        word.extend(repeat(letter, k))
+        letters.extend(repeat(letter, k))
         path = path.then(letter, k)
-    return RiverDescriptor("periodic", tuple(edges), tuple(word))
-
-
-def _find_river_square(q):
-    from .contfrac import normalize_parity, real_cf
-    from .exact import Rat, isqrt
-    from .reduce import reduce_square
-
-    D = q.discriminant()
-    m = isqrt(D)
-    res = reduce_square(q)
-    r = res.canonical.c
-    start = EdgeCursor(QuadForm(r, -m, 0))  # on the left lake, zeta = m/r
-    cf = normalize_parity(real_cf(Rat(m, r)), want_odd_index=True)
-    letters = []
-    for i, a in enumerate(cf.terms):
-        letters.extend(["L" if i % 2 == 0 else "R"] * a)
-    visited = [start]
-    cur = start
-    for t in letters:
-        cur = step(cur, t)
-        visited.append(cur)
-    # first and last edges sit on the lakes; the rest is the river
-    return RiverDescriptor("finite", tuple(visited[1:-1]),
-                           tuple(letters[1:-1]))
+    return edges, letters
 
 
 def export(root, max_depth, fmt):
