@@ -11,7 +11,7 @@ import sys
 
 from .classnum import (h_neg, h_pos, h_square, hstar_neg, hurwitz, r3,
                        r3_primitive, r3_via_class, r3p_via_class)
-from .exact import DomainError, is_square
+from .exact import DomainError, finite_float, is_square
 from .forms import QuadForm
 from .reduce import (gauss_cycle, reduce_negative, reduce_simple_cycle,
                      reduce_square, zagier_cycle)
@@ -123,13 +123,15 @@ def _cmd_pell(ns):
     eps = epsilon(D)
     doc = {"discriminant": str(D), "t": str(s.t), "u": str(s.u),
            "epsilon": f"({s.t}+{s.u}*sqrt({D}))/2",
-           "epsilon_approx": float(eps)}
+           "epsilon_approx": finite_float(eps)}  # null beyond float range
     neg = negative_pell(D)
     if neg is not None:
         doc["t_star"] = str(neg.t)
         doc["u_star"] = str(neg.u)
+    approx = doc["epsilon_approx"]
     plain = [f"t^2 - {D} u^2 = 4 at t={s.t} u={s.u}",
-             f"epsilon = {doc['epsilon']} = {doc['epsilon_approx']:.10g}"]
+             f"epsilon = {doc['epsilon']}"
+             + ("" if approx is None else f" = {approx:.10g}")]
     if neg is not None:
         plain.append(f"t^2 - {D} u^2 = -4 at t={neg.t} u={neg.u}")
     else:
@@ -200,17 +202,10 @@ def _cmd_series(ns):
     if th == "hurwitz":
         rep = hurwitz_series(D, ns.depth)
     else:
-        q = series_seed(D)
-        if th == "mik":
-            rep = series_neg(q, ns.depth)[0]
-        elif th == "mt":
-            rep = series_pos(q, ns.depth)[0]
-        elif th == "mt2":
-            rep = series_pos(q, ns.depth)[1]
-        elif th == "sq":
-            rep = series_square(q, ns.depth)[0]
-        else:  # sq2
-            rep = series_square(q, ns.depth)[1]
+        sums, which = {"mik": (series_neg, 0), "mt": (series_pos, 0),
+                       "mt2": (series_pos, 1), "sq": (series_square, 0),
+                       "sq2": (series_square, 1)}[th]
+        rep = sums(series_seed(D), ns.depth)[which]
     if ns.json:
         print(rep.to_json())
     else:

@@ -262,6 +262,15 @@ class Surd:
         return f"({self.p}+{self.q}*sqrt({self.d}))/{self.r}"
 
 
+def finite_float(x):
+    """float(x), or None where x lies beyond float range."""
+    try:
+        v = float(x)
+    except OverflowError:
+        return None
+    return v if math.isfinite(v) else None
+
+
 def surd_floor(x):
     """Exact floor of a real surd (or of its rational part when q=0)."""
     if x.q == 0:

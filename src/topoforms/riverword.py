@@ -8,7 +8,8 @@ from math import gcd
 from .classnum import euler_phi, h_neg, h_pos
 from .exact import DomainError, Surd, is_square, isqrt
 from .forms import QuadForm, UniMat, act, turn_sequence_matrix
-from .topograph import river_blocks, square_reduction, square_river_blocks
+from .topograph import (river_blocks, river_start, square_reduction,
+                        square_river_blocks)
 
 
 @dataclass(frozen=True)
@@ -181,11 +182,8 @@ def necklace_of(x):
     """Canonical river necklace of a discriminant (principal class) or of a
     given form's class."""
     if isinstance(x, QuadForm):
-        from .reduce import reduce_simple_cycle
-
-        D = x.discriminant()
-        _check_real(D)
-        anchor = reduce_simple_cycle(x).canonical[0]
+        _check_real(x.discriminant())
+        anchor = river_start(x)[0]
     else:
         _check_real(x)
         anchor = principal_form(x)

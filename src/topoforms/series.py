@@ -3,10 +3,11 @@ vertex sums (targets 4*pi and 24*pi), the river sums (target 2 log eps_D),
 the square-discriminant sums with the W1/W2 boundary integrals, the Hurwitz
 series, exact root products, and the discriminant-zero Eisenstein check.
 
-Every vertex sum runs on one level kernel, `_levels`, which yields each
+Every vertex sum runs on the level kernel of `topograph`, which yields each
 level of a topograph as the edge forms (a, b, c) in numpy arrays, each
-parent's L child (a, b+2a, a+b+c) just before its R child (a+b+c, b+2c, c).
-Each term equals its value on Python integers, bit for bit:
+parent's L child (a, b+2a, a+b+c) just before its R child (a+b+c, b+2c, c);
+the river sums read their river in whole blocks.  Each term equals its
+value on Python integers, bit for bit:
 
 - labels are exact integers: int64 while every label of a level is below
   2^58, so that every sum a term takes stays inside int64, and Python ints
@@ -36,12 +37,15 @@ from math import fsum, gcd, log, pi
 import numpy as np
 
 from .classnum import euler_phi, hurwitz
-from .exact import DomainError, Surd, is_square, isqrt
+from .exact import (DomainError, Surd, finite_float, is_square, isqrt,
+                    surd_floor)
 from .forms import QuadForm
-from .reduce import (_primes, divisor_rows, reduce_simple_cycle,
-                     reduce_square, z_forms, zagier_classes, zstar_forms)
+from .reduce import (_primes, divisor_rows, reduce_simple_cycle, z_forms,
+                     zagier_classes, zstar_forms)
 from .riverword import epsilon
-from .topograph import find_river, river_blocks, square_river_blocks
+from .topograph import (_LABEL_MAX, EdgeCursor, _levels, ball_levels,
+                        block_step, river_blocks, river_start,
+                        square_reduction, square_river_blocks, unit_forms)
 
 # the two Poincare-series evaluations the identities rest on
 POINCARE_ALL_ONES = 3 * pi / 2
@@ -77,48 +81,13 @@ def _check_depth(depth):
         raise DomainError(f"depth must be >= 0, got {depth}")
 
 
-# ------------------------------------------------------------ level kernel
+# ------------------------------------------------------------- level terms
 
-_LABEL_MAX = 1 << 58  # labels below this keep every sum of a term in int64
 _EXACT = 2.0 ** 53  # integers below this are exact in float64
 _POW_MARGIN = 1 / 16  # ulps from a rounding boundary where pow may differ
 _EXPONENT = np.int64(0x7FF0000000000000)  # exponent bits of a float64
 _FRACTION = np.int64(0x000FFFFFFFFFFFFF)  # fraction bits of a float64
 _CHUNK = 1 << 13  # edges per call of a term function, to stay in cache
-
-
-def _labels(*cols):
-    """Columns of integer labels as int64 arrays, or as object arrays of
-    Python ints when some label reaches _LABEL_MAX."""
-    wide = any(abs(v) >= _LABEL_MAX for col in cols for v in col)
-    return [np.array(col, dtype=object if wide else np.int64) for col in cols]
-
-
-def _interleave(x, y):
-    out = np.empty(2 * len(x), dtype=x.dtype)
-    out[0::2] = x
-    out[1::2] = y
-    return out
-
-
-def _levels(a, b, c):
-    """The topograph below the edges (a, b, c), given as lists of ints,
-    level by level: each level is three label arrays of edge forms, every
-    parent's L child (a, b+2a, a+b+c) just before its R child
-    (a+b+c, b+2c, c), so each starting edge's subtree is one contiguous
-    run of every level."""
-    a, b, c = _labels(a, b, c)
-    while True:
-        yield a, b, c
-        # below 3 * 2^58 in magnitude from int64 parents: no wraparound
-        h = a + b + c
-        bl = b + 2 * a
-        br = b + 2 * c
-        if a.dtype != object and max(max(x.max(initial=0), -x.min(initial=0))
-                                     for x in (h, bl, br)) >= _LABEL_MAX:
-            a, b, c, h, bl, br = (x.astype(object)
-                                  for x in (a, b, c, h, bl, br))
-        a, b, c = _interleave(a, h), _interleave(bl, br), _interleave(h, c)
 
 
 def _level_terms(terms, level):
@@ -279,25 +248,19 @@ def _neg_scan(q, checkpoints):
     _check_depth(min(checkpoints))
     if q.a < 0:
         q = -q
-    maxdepth = max(checkpoints)
     want = set(checkpoints)
-    a, b, c = q
-    t = a - b + c
-    # the root vertex (a, c, t) is the head of the edge (a, -b, c)
-    level1, level2 = _definite_terms(*_labels([a], [-b], [c])).tolist()
+    level1 = []
+    level2 = []
     out = {}
-    terms = 1
-    # the three edges out of the root's tail vertex, then the levels below
-    levels = _levels([a, c, t], [b, -b + 2 * c, -b + 2 * a], [c, t, a])
-    for depth, level in zip(range(1, maxdepth + 1), levels):
+    terms = 0
+    for depth, level in zip(range(max(checkpoints) + 1),
+                            ball_levels(EdgeCursor(q))):
         p1, p2 = _exact_parts(_level_terms(_definite_terms, level))
         terms += len(level[0])
         level1.append(fsum(p1))
         level2.append(fsum(p2))
         if depth in want:
             out[depth] = (fsum(level1), fsum(level2), terms)
-    if 0 in want:
-        out[0] = (level1[0], level2[0], 1)
     return out
 
 
@@ -375,7 +338,7 @@ def series_pos(q, depth):
     if D <= 0 or is_square(D):
         raise DomainError("needs non-square D > 0")
     _check_depth(depth)
-    river = find_river(q)
+    anchor, _ = river_start(q)
     sqD = math.sqrt(D)
     d32 = D ** 1.5
     d52 = D ** 2.5
@@ -383,13 +346,10 @@ def series_pos(q, depth):
     sums1 = []
     sums2 = []
     hanging = []
-    for edge in river.edges:
-        a, b, c = edge.form
+    for (a, b, c), _ in unit_forms(river_blocks(anchor).word, anchor):
         h = a + b + c
-        if h > 0:
-            tree = (a, b + 2 * a, h)  # river turns R; the L child hangs
-        else:
-            tree = (h, b + 2 * c, c)
+        # where the river turns R the L child hangs, and else the R child
+        tree = (a, b + 2 * a, h) if h > 0 else (h, b + 2 * c, c)
         et = abs(tree[1])
         sums1.append(sqD / et)
         sums2.append(sqD / et + d32 / (3 * et ** 3))
@@ -409,13 +369,20 @@ def series_pos(q, depth):
         terms += len(level[0])
     sums1 += [fsum(p) for p in parts[:k]]
     sums2 += [fsum(p) for p in parts[k:]]
-    target = 2 * log(float(epsilon(D)))
+    # eps_D passes float range on long rivers; math.log takes its floor,
+    # an integer within 1 of it, at any size
+    eps = epsilon(D)
+    target = 2 * log(finite_float(eps) or surd_floor(eps))
     r1 = SeriesReport("mt", D, depth, fsum(sums1), target, terms)
     r2 = SeriesReport("mt2", D, depth, fsum(sums2), target, terms)
     return r1, r2
 
 
 # ------------------------------------------------------------- square sums
+
+def _turns(word):
+    return sum(k for _, k in word)
+
 
 def _hanging_term(m, m3, et):
     return m / et, m / et + m3 / (3 * et ** 3)
@@ -462,29 +429,25 @@ def series_square(q, depth):
         raise DomainError("needs square D > 0")
     _check_depth(depth)
     m = isqrt(D)
-    r = reduce_square(q).canonical.c
+    _, q0 = square_reduction(q)
+    r = q0.c
     g0 = gcd(m, r)
-    if m > 1 and g0 == 1:
-        s_res = pow(r, -1, m)
-        if s_res == 0:
-            s_res = m
-    else:
-        s_res = r
-    river = find_river(q)
-    k = len(river.edges)
-    root = river.edges[k // 2].form if k else QuadForm(r, -m, 0)
-    a, b, c = root
-    # level 0 is the tail vertex of the root cursor, the head of the edge
-    # (a, -b, c); level l >= 1 holds the head vertices of the edges l - 1
-    # levels below the three edges out of it
-    levels = chain([_labels([a], [-b], [c])],
-                   _levels([a, c, a - b + c], [b, -b + 2 * c, -b + 2 * a],
-                           [c, a - b + c, a]))
+    s_res = pow(r, -1, m) if m > 1 and g0 == 1 else r
+    # the root is the river's middle edge: of the n - 1 unit edges after
+    # the lake edge [r, -m, 0] = q0|S, edge (n - 1) // 2, or else the lake
+    # edge itself
+    word = square_river_blocks(q0)
+    n = _turns(word)
+    turns = 1 + (n - 1) // 2 if n > 1 else 0
+    root = QuadForm(r, -m, 0)
+    for letter, k in word:
+        root = block_step(root, letter, min(k, turns))
+        turns -= min(k, turns)
     sums1 = []
     sums2 = []
     terms = 0
     square_terms = partial(_square_terms, m)
-    for _, level in zip(range(depth + 1), levels):
+    for _, level in zip(range(depth + 1), ball_levels(EdgeCursor(root))):
         t = _level_terms(square_terms, level)
         terms += t.shape[1]
         p1, p2 = _exact_parts(t)
@@ -516,23 +479,13 @@ def series_seed(D):
         m = isqrt(D)
         if m == 1:
             return QuadForm(0, 1, 1)
-        best = None
-        for r in range(1, m + 1):
-            if gcd(r, m) != 1:
-                continue
-            q = QuadForm(0, m, r)
-            key = (sum(k for _, k in square_river_blocks(q)), r)
-            if best is None or key < best[0]:
-                best = (key, q)
-        return best[1]
+        return min((QuadForm(0, m, r) for r in range(1, m + 1)
+                    if gcd(r, m) == 1),
+                   key=lambda q: (_turns(square_river_blocks(q)), q.c))
     # each class once: its least simply reduced form and its river period
-    best = None
-    for cycle in zagier_classes(D):
-        q = reduce_simple_cycle(cycle[0]).canonical[0]
-        key = (sum(k for _, k in river_blocks(q).word), q)
-        if best is None or key < best[0]:
-            best = (key, q)
-    return best[1]
+    return min((reduce_simple_cycle(cycle[0]).canonical[0]
+                for cycle in zagier_classes(D)),
+               key=lambda q: (_turns(river_blocks(q).word), q))
 
 
 # ------------------------------------------------------- boundary integrals

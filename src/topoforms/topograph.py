@@ -1,15 +1,17 @@
-"""Topograph navigation: directed-edge cursors, vertex views, BFS, the
-integer block walk that reduces forms of every discriminant and locates
-wells and rivers, and dot/json export.
+"""Topograph navigation: directed-edge cursors, vertex views, the level
+kernel with BFS and dot/json export as views over it, and the integer block
+walk that reduces forms of every discriminant and locates wells and rivers.
 
-The tree is never materialized; a cursor is a form plus the turn word that
-produced it, and every neighbour is reached by one of the moves of step().
+The tree is never materialized: a cursor is a form plus the turn word that
+produced it, and the level kernel holds one level at a time.
 """
 
 import json
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
+
+import numpy as np
 
 from .exact import DomainError, is_square, isqrt
 from .forms import QuadForm
@@ -21,6 +23,8 @@ class TurnPath:
 
     It iterates its turns, has a length, and compares and hashes equal to
     the tuple of its turns, so `TurnPath().then("L", 2) == ("L", "L")`.
+    Two paths compare by their runs, in time linear in the number of runs;
+    hashing expands the path into its turns.
     """
 
     __slots__ = ("prefix", "turn", "count", "_len")
@@ -50,11 +54,14 @@ class TurnPath:
         return self._len
 
     def runs(self):
-        """The path as (turn, count) runs, first to last."""
+        """The path as maximal (turn, count) runs, first to last: a node
+        built directly on a run of the same turn is merged into it."""
         runs = []
         node = self
         while node is not None:
-            if node.count:
+            if runs and runs[-1][0] == node.turn:
+                runs[-1] = (node.turn, runs[-1][1] + node.count)
+            elif node.count:
                 runs.append((node.turn, node.count))
             node = node.prefix
         runs.reverse()
@@ -65,12 +72,14 @@ class TurnPath:
             yield from repeat(turn, count)
 
     def __eq__(self, other):
-        if not isinstance(other, (TurnPath, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(
-            x == y for x, y in zip(self, other))
+        if isinstance(other, TurnPath):
+            return len(self) == len(other) and self.runs() == other.runs()
+        if isinstance(other, tuple):
+            return len(self) == len(other) and tuple(self) == other
+        return NotImplemented
 
     def __hash__(self):
+        # equal to the tuple's hash, so this expands the path turn by turn
         return hash(tuple(self))
 
     def __repr__(self):
@@ -139,26 +148,72 @@ def tail_view(cur):
     return VertexView((a, c, a - b + c), (b, 2 * a - b, 2 * c - b))
 
 
-def _root_frontier(root):
-    # the three edges leaving the tail vertex of the root cursor
-    back = step(root, "S")
-    return [root, step(back, "L"), step(back, "R")]
+# ------------------------------------------------------------ level kernel
+
+_LABEL_MAX = 1 << 58  # labels below this keep every sum of a term in int64
+
+
+def _labels(*cols):
+    """Columns of integer labels as int64 arrays, or as object arrays of
+    Python ints when some label reaches _LABEL_MAX."""
+    wide = any(abs(v) >= _LABEL_MAX for col in cols for v in col)
+    return [np.array(col, dtype=object if wide else np.int64) for col in cols]
+
+
+def _interleave(x, y):
+    out = np.empty(2 * len(x), dtype=x.dtype)
+    out[0::2] = x
+    out[1::2] = y
+    return out
+
+
+def _levels(a, b, c):
+    """The topograph below the edges (a, b, c), given as lists of ints,
+    level by level: each level is three label arrays of edge forms, every
+    parent's L child (a, b+2a, a+b+c) just before its R child
+    (a+b+c, b+2c, c), so each starting edge's subtree is one contiguous
+    run of every level."""
+    a, b, c = _labels(a, b, c)
+    while True:
+        yield a, b, c
+        # below 3 * 2^58 in magnitude from int64 parents: no wraparound
+        h = a + b + c
+        bl = b + 2 * a
+        br = b + 2 * c
+        if a.dtype != object and max(max(x.max(initial=0), -x.min(initial=0))
+                                     for x in (h, bl, br)) >= _LABEL_MAX:
+            a, b, c, h, bl, br = (x.astype(object)
+                                  for x in (a, b, c, h, bl, br))
+        a, b, c = _interleave(a, h), _interleave(bl, br), _interleave(h, c)
+
+
+def ball_levels(root):
+    """The ball around the root cursor's tail vertex, level by level, as
+    the edges whose heads are its vertices: level 0 is the edge (a, -b, c),
+    whose head is that vertex; level 1 the three edges out of it, the root
+    and the L and R turns of its reverse; then _levels below them, so edge
+    i of level l >= 2 is child "LR"[i % 2] of edge i // 2 of level l - 1."""
+    a, b, c = root.form
+    t = a - b + c
+    yield _labels([a], [-b], [c])
+    yield from _levels([a, c, t], [b, -b + 2 * c, -b + 2 * a], [c, t, a])
+
+
+def _ball(root, max_depth):
+    # every edge of the ball to max_depth, level by level: its form and its
+    # head vertex's regions and out labels, as Python ints
+    if max_depth < 0:
+        raise DomainError("negative depth")
+    for _, (a, b, c) in zip(range(max_depth + 1), ball_levels(root)):
+        for x, y, z in zip(a.tolist(), b.tolist(), c.tolist()):
+            yield (x, y, z), (x, z, x + y + z), (-y, y + 2 * x, y + 2 * z)
 
 
 def bfs_vertices(root, max_depth):
     """Every vertex within max_depth edges of the root cursor's tail vertex,
     exactly once, in deterministic (depth, then L-before-R) order."""
-    if max_depth < 0:
-        raise DomainError("negative depth")
-    yield tail_view(root)
-    frontier = _root_frontier(root)
-    for _ in range(max_depth):
-        nxt = []
-        for cur in frontier:
-            yield head_view(cur)
-            nxt.append(step(cur, "L"))
-            nxt.append(step(cur, "R"))
-        frontier = nxt
+    for _, regions, out_labels in _ball(root, max_depth):
+        yield VertexView(regions, out_labels)
 
 
 # ------------------------------------------------------------- block walk
@@ -418,7 +473,16 @@ def find_river(q):
                                      turn_path(steps).then("S"))
         return RiverDescriptor("finite", tuple(edges[1:]),
                                tuple(letters[1:-1]))
-    # the period starts at the first simple form on the first root's path
+    anchor, path = river_start(q)
+    edges, letters = _unit_edges(river_blocks(anchor).word, anchor, path)
+    return RiverDescriptor("periodic", tuple(edges), tuple(letters))
+
+
+def river_start(q):
+    """The simple form where the river period of q starts, for non-square
+    D > 0: the first simple form on q's first root's path, and the path to
+    it from q."""
+    D = q.discriminant()
     root = root_path(q)
     path = turn_path(root.word)
     anchor = root.form
@@ -431,8 +495,17 @@ def find_river(q):
         back = k - max(1, floor_root(-b, -sign, r, isqrt(D)) + 1)
         anchor = block_step(anchor, letter, -back)
         path = TurnPath(path.prefix, path.turn, path.count - back)
-    edges, letters = _unit_edges(river_blocks(anchor).word, anchor, path)
-    return RiverDescriptor("periodic", tuple(edges), tuple(letters))
+    return anchor, path
+
+
+def unit_forms(word, form):
+    """The form before every unit turn of the blocks `word` from `form`,
+    each with the letter of its turn; the blocks' counts are >= 0."""
+    a, b, c = form
+    for letter, k in word:
+        for _ in range(k):
+            yield (a, b, c), letter
+            a, b, c = _block(a, b, c, letter, 1)
 
 
 def _unit_edges(word, form, path):
@@ -440,16 +513,10 @@ def _unit_edges(word, form, path):
     # and with the path to it, and the letters of the turns
     edges = []
     letters = []
-    a, b, c = form
-    for letter, k in word:
-        for j in range(k):
-            edges.append(EdgeCursor(QuadForm(a, b, c), path.then(letter, j)))
-            if letter == "L":
-                a, b, c = a, b + 2 * a, a + b + c
-            else:
-                a, b, c = a + b + c, b + 2 * c, c
-        letters.extend(repeat(letter, k))
-        path = path.then(letter, k)
+    for edge, letter in unit_forms(word, form):
+        edges.append(EdgeCursor(_quad_form(edge), path))
+        letters.append(letter)
+        path = path.then(letter)
     return edges, letters
 
 
@@ -461,49 +528,25 @@ def export(root, max_depth, fmt):
         raise DomainError("negative depth")
     if not any(root.form):
         raise DomainError("the zero form has no topograph")
-    D = root.form.discriminant()
-    records = []  # (id, regions, out_labels, parent, turn, edge_form)
-    v = tail_view(root)
-    records.append((0, v.regions, v.out_labels, None, None, None))
-    frontier = []
-    if max_depth > 0:
-        for cur, turn in zip(_root_frontier(root), (None, "L", "R")):
-            frontier.append((cur, 0, turn))
-    next_id = 1
-    for _ in range(max_depth):
-        nxt = []
-        for cur, parent, turn in frontier:
-            v = head_view(cur)
-            records.append((next_id, v.regions, v.out_labels, parent, turn,
-                            cur.form))
-            nxt.append((step(cur, "L"), next_id, "L"))
-            nxt.append((step(cur, "R"), next_id, "R"))
-            next_id += 1
-        frontier = nxt
+    ball = list(_ball(root, max_depth))
+    # level l >= 1 starts at id 3 * 2^(l-1) - 2, so vertex i of level l >= 2
+    # has id v with parent v // 2 - 1, vertex i // 2 of level l - 1, and
+    # turn "LR"[i % 2]; vertices 1, 2, 3 leave vertex 0 by no turn, L and R
+    parent = [None] + [max(v // 2 - 1, 0) for v in range(1, len(ball))]
+    turn = [None, None] + ["LR"[v % 2] for v in range(2, len(ball))]
     if fmt == "json":
-        doc = {
-            "discriminant": str(D),
+        return json.dumps({
+            "discriminant": str(root.form.discriminant()),
             "root": ",".join(str(x) for x in root.form),
-            "vertices": [
-                {
-                    "id": i,
-                    "regions": [str(x) for x in regs],
-                    "out_labels": [str(x) for x in outs],
-                    "parent": parent,
-                    "turn": turn,
-                }
-                for i, regs, outs, parent, turn, _ in records
-            ],
-        }
-        return json.dumps(doc, indent=2)
+            "vertices": [{"id": v, "regions": [str(x) for x in regs],
+                          "out_labels": [str(x) for x in outs],
+                          "parent": parent[v], "turn": turn[v]}
+                         for v, (_, regs, outs) in enumerate(ball)]},
+            indent=2)
     lines = ["digraph topograph {"]
-    for i, regs, _, _, _, _ in records:
-        label = ",".join(str(x) for x in regs)
-        lines.append(f'  v{i} [label="{label}"];')
-    for i, _, _, parent, _, form in records:
-        if parent is None:
-            continue
-        a, b, c = form
-        lines.append(f'  v{parent} -> v{i} [label="{b} | {a} | {c}"];')
+    lines += [f'  v{v} [label="{",".join(map(str, regs))}"];'
+              for v, (_, regs, _) in enumerate(ball)]
+    lines += [f'  v{parent[v]} -> v{v} [label="{b} | {a} | {c}"];'
+              for v, ((a, b, c), _, _) in enumerate(ball) if v]
     lines.append("}")
     return "\n".join(lines) + "\n"

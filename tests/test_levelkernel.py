@@ -25,7 +25,7 @@ from topoforms.riverword import epsilon, principal_form
 from topoforms.series import (W1, W2, SeriesReport, hurwitz_series,
                               root_product, series_neg, series_neg_profile,
                               series_pos, series_seed, series_square)
-from topoforms.topograph import find_river
+from topoforms.topograph import _labels, _levels, find_river
 
 _MOVES = {
     "L": lambda a, b, c: (a, b + 2 * a, a + b + c),
@@ -268,7 +268,7 @@ def test_deep_level_terms_take_the_fallback():
     # of the rest
     a, b, c = 1, 0, 5
     t = a - b + c
-    levels = series._levels([a, c, t], [b, -b + 2 * c, -b + 2 * a], [c, t, a])
+    levels = _levels([a, c, t], [b, -b + 2 * c, -b + 2 * a], [c, t, a])
     for _, level in zip(range(19), levels):
         pass
     fa, fb, fc = level
@@ -343,7 +343,7 @@ def test_levels_leave_int64_exactly():
     # levels hold Python ints, equal to the exact expansion
     rng = random.Random(1)
     a, b, c = _wide_labels(rng, 57, 8)
-    levels = series._levels(a, b, c)
+    levels = _levels(a, b, c)
     for _, level in zip(range(5), levels):
         assert [x.tolist() for x in level] == [a, b, c]
         hs = [x + y + z for x, y, z in zip(a, b, c)]
@@ -361,7 +361,7 @@ def test_edge_terms_on_wide_labels():
     k = (96 ** 1.5, 96 ** 2.5, 96 ** 4.5)
     for bits in (20, 27, 30, 45, 57, 61, 70):
         cols = _wide_labels(rng, bits)
-        got = series._tree_terms(k, *series._labels(*cols))
+        got = series._tree_terms(k, *_labels(*cols))
         want = [series._edge_term(k, b, b + 2 * a, b + 2 * c,
                                   b + 2 * a + 2 * c)
                 for a, b, c in zip(*cols)]
@@ -372,7 +372,7 @@ def test_definite_terms_on_wide_labels():
     rng = random.Random(4)
     for bits in (10, 20, 27, 30, 57, 61, 70):
         cols = _wide_labels(rng, bits)
-        got = series._definite_terms(*series._labels(*cols))
+        got = series._definite_terms(*_labels(*cols))
         want = [series._definite_term(a, c, a + b + c)
                 for a, b, c in zip(*cols)]
         assert got.T.tolist() == [list(w) for w in want], bits
@@ -387,7 +387,7 @@ def test_definite_terms_near_rounding_boundaries():
             for x, y, z in ((2 ** j, c, h), (c, 2 ** j, h)):
                 for col, v in zip(cols, (x, z - x - y, y)):
                     col.append(v)
-    got = series._definite_terms(*series._labels(*cols))
+    got = series._definite_terms(*_labels(*cols))
     want = [series._definite_term(a, c, a + b + c) for a, b, c in zip(*cols)]
     assert got.T.tolist() == [list(w) for w in want]
 
@@ -398,7 +398,7 @@ def test_square_terms_on_wide_labels():
     for m, bits in ((7, 3), (7, 12), (2 ** 18 + 1, 19), (324, 30),
                     (2 ** 30 + 1, 31), (2 ** 27 + 1, 40), (7, 61), (5, 70)):
         cols = _wide_labels(rng, bits)
-        got = series._square_terms(m, *series._labels(*cols))
+        got = series._square_terms(m, *_labels(*cols))
         want = [ref_square_vertex(m, a, c, a + b + c)
                 for a, b, c in zip(*cols)]
         want = [w for w in want if w is not None]

@@ -1,0 +1,66 @@
+"""TurnPath equality by runs, and units beyond float range."""
+
+import json
+import math
+import time
+
+from topoforms.cli import run
+from topoforms.forms import QuadForm
+from topoforms.riverword import pell_fundamental
+from topoforms.topograph import TurnPath, find_well
+
+
+def test_adjacent_equal_runs_merge():
+    split = TurnPath(TurnPath(TurnPath(None, "L", 3), "R", 0), "L", 2)
+    assert split.runs() == [("L", 5)]
+    assert split == TurnPath().then("L", 5) == ("L",) * 5
+    assert hash(split) == hash(("L",) * 5)
+    assert split != TurnPath().then("L", 4).then("R")
+    assert TurnPath().then("L").then("R") != TurnPath().then("R").then("L")
+
+
+def _best_compare(p, q):
+    best = math.inf
+    for _ in range(5):
+        t = time.perf_counter()
+        equal = p == q
+        best = min(best, time.perf_counter() - t)
+    return equal, best
+
+
+def test_long_paths_compare_by_runs():
+    n = 10 ** 6
+    well = find_well(QuadForm(1, 2 * n, n * n + 1)).at.path
+    assert len(well) == n
+    built = TurnPath(TurnPath(None, "Li", 400000), "Li", n - 400000)
+    equal, seconds = _best_compare(well, built)
+    assert equal and seconds < 0.005
+    equal, seconds = _best_compare(well, TurnPath().then("Li", n - 1)
+                                   .then("L"))
+    assert not equal and seconds < 0.005
+
+
+def test_pell_beyond_float_range(capsys):
+    D = 1000009
+    assert run(["pell", "--disc", str(D), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    t, u = int(doc["t"]), int(doc["u"])
+    assert t * t - D * u * u == 4 and t.bit_length() > 1024
+    assert doc["epsilon_approx"] is None
+    assert run(["pell", "--disc", str(D)]) == 0
+    assert "\nepsilon = (" in capsys.readouterr().out
+    assert run(["pell", "--disc", "148", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["epsilon_approx"] == (
+        146 + 12 * math.sqrt(148)) / 2
+
+
+def test_river_series_beyond_float_range(capsys):
+    D = 1000009
+    argv = ["series", "--theorem", "mt", "--disc", str(D), "--depth", "0"]
+    assert run(argv + ["--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    # eps = (t + u sqrt D)/2 lies within 1/t of t
+    t = pell_fundamental(D).t
+    assert math.isclose(doc["target"], 2 * math.log(t), rel_tol=1e-15)
+    assert run(argv) == 0
+    assert "mt: value" in capsys.readouterr().out
