@@ -1,33 +1,25 @@
-"""Class numbers h, h*, and Hurwitz H by counting well configurations, plus
-sums of three squares and the Upsilon counters.
+"""Class numbers h, h*, and Hurwitz H, sums of three squares, and the
+Upsilon counters.
 
-The well-count formulas: for D < -4 put n = |D| (D odd) or |D|/4 (D even);
-then h(D) is
+Every class of a discriminant D < 0 has one reduced form, the form at its
+topograph's well, and `reduce.reduced_forms` lists them in O(|D|) trial
+divisions.  h*(D) counts that list, primitive and imprimitive forms alike;
+h(D) counts its primitive forms; H(|D|) weighs the classes of j[1,1,1]
+(|D| = 3j^2) and j[1,0,1] (|D| = 4j^2) by 1/3 and 1/2, the inverse orders
+of their automorph groups modulo -1, and every other class by 1.
 
-    2#{e>f>g>0 : ef+fg+ge=n} + #{e,f>0 : e^2+2ef=n} + #{e>f>0 : ef=n}
+The tables give h* for every -limit <= D < 0 at once by counting wells.
+Put n = |D| (D odd) or |D|/4 (D even); then h*(D) is
 
-with gcd 1 everywhere, the last sum for even D only, and the first two sums
-restricted to all-odd solutions for odd D and to not-all-odd ones for even D.
-Dropping the gcd conditions and the not-all-odd restriction, and taking
-e >= f in the last sum, counts every class of D once, primitive or not:
-that is h*(D).  The solutions e = f of e^2+2ef = n and of ef = n stand for
-the classes of j[1,1,1] (|D| = 3j^2) and j[1,0,1] (|D| = 4j^2); weighting
-them by 1/3 and 1/2 instead gives the Hurwitz count H.  Every class of D is
-k times a primitive class of D/k^2 for exactly one k, so
+    2#{e>f>g>0 : ef+fg+ge=n} + #{e,f>0 : e^2+2ef=n} + #{e>=f>0 : ef=n}
 
-    h(D) = sum of mu(k) h*(D/k^2) over k^2 | D with D/k^2 a discriminant,
-
-which equals the gcd-1 count above.
-
-One kernel counts h*, by a scalar path and a table path.  The scalar path
-reads the triples off (e+g)(f+g) = n + g^2: for each g, f + g runs over the
-divisors of n + g^2 in (2g, sqrt(n + g^2)), by steps of 2 for all-odd
-solutions (g odd, both factors even); the other two families come from the
-divisors of n.  A count costs O(n), against Theta(n^1.5) for enumerating
-every triple with ef+fg+ge <= n.  The table path gives h*(D) for every
--limit <= D < 0 at once: for fixed (f, g) the sums over e > f form a
+with the last sum for even D only, and the first two restricted to all-odd
+solutions for odd D.  For fixed (f, g) the sums over e > f form a
 progression with stride f + g (2(f + g) all-odd), added as one numpy slice,
-O(limit) slices in all.
+O(limit) slices in all.  Every class of D is k times a primitive class of
+D/k^2 for exactly one k, so the table of h is
+
+    h(D) = sum of mu(k) h*(D/k^2) over k^2 | D with D/k^2 a discriminant.
 """
 
 from fractions import Fraction
@@ -35,27 +27,36 @@ from math import gcd
 
 import numpy as np
 
-from .exact import DomainError, is_square, isqrt
-from .reduce import zagier_classes
+from .exact import DomainError, check_discriminant, is_square, isqrt
+from .reduce import reduced_forms, zagier_classes
 
 # H weighs the classes j[1,1,1] (|D| = 3j^2) and j[1,0,1] (|D| = 4j^2), which
 # h* counts once, by the inverse orders of their automorph groups modulo -1
 _AUT_WEIGHTS = ((3, Fraction(1, 3)), (4, Fraction(1, 2)))
 
 
+def _factor(m):
+    """The pairs (p, e) of the prime factorization of m >= 1, p ascending,
+    by trial division."""
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            yield p, e
+        p += 1
+    if m > 1:
+        yield m, 1
+
+
 def euler_phi(m):
     if m <= 0:
         raise DomainError("phi of non-positive integer")
     out = m
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out -= out // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out -= out // m
+    for p, _ in _factor(m):
+        out -= out // p
     return out
 
 
@@ -63,51 +64,16 @@ def moebius_mu(m):
     if m <= 0:
         raise DomainError("moebius_mu of non-positive integer")
     out = 1
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            out = -out
-        p += 1
-    if m > 1:
+    for _, e in _factor(m):
+        if e > 1:
+            return 0
         out = -out
     return out
-
-
-def _check_disc_neg(D):
-    if D >= 0:
-        raise DomainError("needs D < 0")
-    if D % 4 not in (0, 1):
-        raise DomainError("discriminant must be 0 or 1 mod 4")
 
 
 def _check_limit(limit):
     if limit < 0:
         raise DomainError("table limit must be >= 0")
-
-
-def _wells(n, odd):
-    """h* of D = -n (odd D) or D = -4n (even D), by the well count."""
-    step = 2 if odd else 1
-    total = 0
-    g = 1
-    while 3 * g * g < n:
-        m = n + g * g
-        # f + g = d and e + g = m/d with 2g < d < m/d
-        total += sum(2 for d in range(2 * g + step, isqrt(m - 1) + 1, step)
-                     if m % d == 0 and not (odd and m // d % 2))
-        g += step
-    for d in range(1, isqrt(n) + 1):
-        if n % d:
-            continue
-        t = n // d - d  # e = d and 2f = t in e(e + 2f) = n
-        if t > 0 and t % 2 == 0 and (not odd or t // 2 % 2):
-            total += 1
-        if not odd:  # f = d <= e = n/d in ef = n
-            total += 1
-    return total
 
 
 def _hurwitz_weight(n, count):
@@ -120,15 +86,7 @@ def _hurwitz_weight(n, count):
 
 def h_neg(D):
     """Primitive class number of a negative discriminant."""
-    _check_disc_neg(D)
-    total = 0
-    for k in range(1, isqrt(-D) + 1):
-        q, r = divmod(D, k * k)
-        if r == 0 and q % 4 in (0, 1):
-            mu = moebius_mu(k)
-            if mu:
-                total += mu * hstar_neg(q)
-    return total
+    return sum(1 for a, b, c in reduced_forms(D) if gcd(a, b, c) == 1)
 
 
 def hurwitz(n):
@@ -142,9 +100,7 @@ def hurwitz(n):
 
 def hstar_neg(D):
     """Number of all (primitive and imprimitive) classes of D < 0."""
-    _check_disc_neg(D)
-    odd = D % 2 != 0
-    return _wells(-D if odd else -D // 4, odd)
+    return sum(1 for _ in reduced_forms(D))
 
 
 def h_square(D):
@@ -163,8 +119,7 @@ def h_pos(D):
     cycles among the primitive Z-reduced forms, each form visited once."""
     if D <= 0 or is_square(D):
         raise DomainError("h_pos needs non-square D > 0")
-    if D % 4 not in (0, 1):
-        raise DomainError("discriminant must be 0 or 1 mod 4")
+    check_discriminant(D)
     return len(zagier_classes(D))
 
 

@@ -13,6 +13,11 @@ class DomainError(ValueError):
     """Raised when an argument is outside an operation's stated domain."""
 
 
+def check_discriminant(D):
+    if D % 4 not in (0, 1):
+        raise DomainError("discriminant must be 0 or 1 mod 4")
+
+
 def isqrt(n):
     # floor square root, exact for any size
     if n < 0:

@@ -1,6 +1,7 @@
-"""Reduction procedures for every discriminant regime, plus the Gauss and
-Zagier steps, the Omega_D parametrization of Zagier-reduced forms, and the
-divisor kernel that lists every form [a, b, c] with ac = |b^2 - D|/4."""
+"""Reduction procedures for every discriminant regime, the list of reduced
+definite forms, the Gauss and Zagier steps, the Omega_D parametrization of
+Zagier-reduced forms, and the divisor kernel that lists every form
+[a, b, c] with ac = |b^2 - D|/4."""
 
 from dataclasses import dataclass
 from functools import partial
@@ -9,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exact import DomainError, is_square, isqrt
+from .exact import DomainError, check_discriminant, is_square, isqrt
 from .forms import QuadForm, UniMat, turn_sequence_matrix
 from .topograph import (block_step, definite_blocks, floor_root,
                         is_reduced_neg, river_blocks, root_path,
@@ -76,6 +77,26 @@ def reduce_negative(q):
         a, b, c = c, -b, a
     return ReductionResult(QuadForm(a, b, c), turn_sequence_matrix(steps),
                            tuple(steps), negated)
+
+
+def reduced_forms(D):
+    """Every reduced form of a discriminant D < 0, imprimitive included, as
+    int triples (a, b, c): |b| <= a <= c, with b >= 0 when |b| = a or a = c.
+    Each class of D has one, the form at its topograph's well (Cohen,
+    GTM 138, Sec. 5.3).  From 4ac - b^2 = |D| >= 3b^2, b^2 <= |D|/3, and a
+    runs over the divisors of (b^2 - D)/4 from max(|b|, 1) up to the
+    square root.  A generator: a D out of domain raises DomainError on the
+    first step."""
+    if D >= 0:
+        raise DomainError("needs D < 0")
+    check_discriminant(D)
+    for b in range(D % 2, isqrt(-D // 3) + 1, 2):
+        n = (b * b - D) // 4
+        for a in [a for a in range(max(b, 1), isqrt(n) + 1) if n % a == 0]:
+            c = n // a
+            yield a, b, c
+            if 0 < b < a < c:
+                yield a, -b, c
 
 
 # ------------------------------------------------------------------- square
@@ -259,8 +280,7 @@ def divisor_rows(D, start, stop):
     the values' low bits, prime powers by repeated division on the hit
     indices, and what the sieve leaves is 1 or a prime.  The divisors of
     every value are then expanded together, one prime factor at a time."""
-    if D % 4 not in (0, 1):
-        raise DomainError("discriminant must be 0 or 1 mod 4")
+    check_discriminant(D)
     if start % 2 != D % 2:
         raise DomainError("b must have the parity of D")
     b = np.arange(start, max(start, stop), 2, dtype=np.int64)

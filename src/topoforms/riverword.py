@@ -6,7 +6,7 @@ from itertools import groupby
 from math import gcd
 
 from .classnum import euler_phi, h_neg, h_pos
-from .exact import DomainError, Surd, is_square, isqrt
+from .exact import DomainError, Surd, check_discriminant, is_square, isqrt
 from .forms import QuadForm, UniMat, act, turn_sequence_matrix
 from .topograph import (river_blocks, river_start, square_reduction,
                         square_river_blocks)
@@ -69,18 +69,16 @@ class Necklace:
 
 
 def principal_form(D):
+    check_discriminant(D)
     if D % 4 == 0:
         return QuadForm(1, 0, -D // 4)
-    if D % 4 == 1:
-        return QuadForm(1, 1, (1 - D) // 4)
-    raise DomainError("discriminant must be 0 or 1 mod 4")
+    return QuadForm(1, 1, (1 - D) // 4)
 
 
 def _check_real(D):
     if D <= 0 or is_square(D):
         raise DomainError("needs non-square D > 0")
-    if D % 4 not in (0, 1):
-        raise DomainError("discriminant must be 0 or 1 mod 4")
+    check_discriminant(D)
 
 
 def river_period(D):
@@ -261,8 +259,7 @@ def symmetry(q):
 
 def h1(D):
     """Wide-sense primitive class number."""
-    if D % 4 not in (0, 1):
-        raise DomainError("discriminant must be 0 or 1 mod 4")
+    check_discriminant(D)
     if D in (1, 4):
         return 1
     if D < 0:

@@ -36,12 +36,12 @@ from math import fsum, gcd, log, pi
 
 import numpy as np
 
-from .classnum import euler_phi, hurwitz
-from .exact import (DomainError, Surd, finite_float, is_square, isqrt,
-                    surd_floor)
+from .classnum import _AUT_WEIGHTS, euler_phi, hurwitz
+from .exact import (DomainError, Surd, check_discriminant, finite_float,
+                    is_square, isqrt, surd_floor)
 from .forms import QuadForm
-from .reduce import (_primes, divisor_rows, reduce_simple_cycle, z_forms,
-                     zagier_classes, zstar_forms)
+from .reduce import (_primes, divisor_rows, reduce_simple_cycle,
+                     reduced_forms, z_forms, zagier_classes, zstar_forms)
 from .riverword import epsilon
 from .topograph import (_LABEL_MAX, EdgeCursor, _levels, ball_levels,
                         block_step, river_blocks, river_start,
@@ -290,37 +290,21 @@ def hurwitz_series(D, depth):
     every topograph of discriminant D (including imprimitive ones)."""
     if D >= 0:
         raise DomainError("needs negative discriminant")
-    if D % 4 not in (0, 1):
-        raise DomainError("discriminant must be 0 or 1 mod 4")
+    check_discriminant(D)
     _check_depth(depth)
     total = []
     terms = 0
-    for q in _all_reduced_neg(D):
-        a, b, c = q
-        if a == b == c:
-            w = 3
-        elif b == 0 and a == c:
-            w = 2
-        else:
-            w = 1
-        s1, _, n = _neg_scan(q, [depth])[depth]
-        total.append((3.0 / w) * s1)
+    for a, b, c in reduced_forms(D):
+        # j[1,1,1] and j[1,0,1] are the reduced forms with a = c and
+        # |D| = 3a^2 or 4a^2
+        w = next((w for k, w in _AUT_WEIGHTS
+                  if a == c and k * a * a == -D), 1)
+        s1, _, n = _neg_scan(QuadForm(a, b, c), [depth])[depth]
+        total.append(float(3 * w) * s1)
         terms += n
     value = (-D) ** 1.5 / (12 * pi) * fsum(total)
     target = float(hurwitz(-D))
     return SeriesReport("hurwitz", D, depth, value, target, terms)
-
-
-def _all_reduced_neg(D):
-    # every reduced form of discriminant D < 0, imprimitive included:
-    # |b| <= a <= c with b^2 <= |D|/3
-    b, a, c = divisor_rows(D, D % 2, isqrt(-D // 3) + 1)
-    keep = (a >= b) & (a <= c)
-    b, a, c = b[keep], a[keep], c[keep]
-    flip = (0 < b) & (b < a) & (a < c)
-    b = np.concatenate((b, -b[flip]))
-    a, c = np.concatenate((a, a[flip])), np.concatenate((c, c[flip]))
-    return sorted(map(QuadForm, a.tolist(), b.tolist(), c.tolist()))
 
 
 # -------------------------------------------------------------- river sums
@@ -471,8 +455,7 @@ def series_seed(D):
 
     if D == 0:
         raise DomainError("no series seed for discriminant zero")
-    if D % 4 not in (0, 1):
-        raise DomainError("discriminant must be 0 or 1 mod 4")
+    check_discriminant(D)
     if D < 0:
         return principal_form(D)
     if is_square(D):

@@ -1,9 +1,10 @@
 """The class-number layer against the enumerations it replaced.
 
 The reference functions below are the sweeps over every well triple and
-pair with sum <= n, the Theta(D^1.5) trial division of Omega_D, the Surd
-ceiling of the Zagier step, and a count of reduced forms; the well-count
-kernel, its tables, omega_enumerate, zagier_step and h_pos must agree with
+pair with sum <= n, the O(n) scalar well count with the Moebius inversion
+that gave h from h*, the Theta(D^1.5) trial division of Omega_D, the Surd
+ceiling of the Zagier step, and a count of reduced forms; the reduced-form
+list, the tables, omega_enumerate, zagier_step and h_pos must agree with
 them exactly.
 """
 
@@ -12,13 +13,17 @@ from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import mobius
 
-from topoforms.classnum import (h_neg, h_neg_table, h_pos, hstar_neg,
-                                hurwitz, hurwitz_table)
+from topoforms.classnum import (euler_phi, h_neg, h_neg_table, h_pos,
+                                hstar_neg, hurwitz, hurwitz_table, moebius_mu)
 from topoforms.exact import DomainError, Surd, is_square, isqrt, surd_floor
 from topoforms.forms import QuadForm, UniMat, act
-from topoforms.reduce import (is_simply_reduced, omega_enumerate,
-                              reduce_simple_cycle, zagier_step)
+from topoforms.reduce import (divisor_rows, is_reduced_neg, is_simply_reduced,
+                              omega_enumerate, reduce_simple_cycle,
+                              reduced_forms, zagier_step)
+from topoforms.riverword import h1, principal_form, river_period
+from topoforms.series import hurwitz_series, series_seed
 
 LIMIT = 4000
 
@@ -168,6 +173,50 @@ def ref_hurwitz_table(nmax):
     return out
 
 
+def ref_wells(n, odd):
+    """h* of D = -n (odd D) or D = -4n (even D), by the well count: for each
+    g, f + g runs over the divisors d of n + g^2 in (2g, sqrt(n + g^2))."""
+    step = 2 if odd else 1
+    total = 0
+    g = 1
+    while 3 * g * g < n:
+        m = n + g * g
+        # f + g = d and e + g = m/d with 2g < d < m/d
+        total += sum(2 for d in range(2 * g + step, isqrt(m - 1) + 1, step)
+                     if m % d == 0 and not (odd and m // d % 2))
+        g += step
+    for d in range(1, isqrt(n) + 1):
+        if n % d:
+            continue
+        t = n // d - d  # e = d and 2f = t in e(e + 2f) = n
+        if t > 0 and t % 2 == 0 and (not odd or t // 2 % 2):
+            total += 1
+        if not odd:  # f = d <= e = n/d in ef = n
+            total += 1
+    return total
+
+
+def ref_hstar(D):
+    return ref_wells(-D, True) if D % 2 else ref_wells(-D // 4, False)
+
+
+def ref_counts(D):
+    """(h, h*, H) of D < 0 from the well count: h by Moebius inversion over
+    the square divisors k^2 of D, H by weighting the classes of j[1,1,1]
+    and j[1,0,1] by 1/3 and 1/2."""
+    hstar = ref_hstar(D)
+    h = sum(mobius(k) * ref_hstar(D // (k * k))
+            for k in range(1, isqrt(-D) + 1)
+            if D % (k * k) == 0 and D // (k * k) % 4 in (0, 1))
+    n = -D
+    H = Fraction(hstar)
+    if n % 3 == 0 and is_square(n // 3):
+        H -= Fraction(2, 3)
+    elif n % 4 == 0 and is_square(n // 4):
+        H -= Fraction(1, 2)
+    return h, hstar, H
+
+
 def ref_reduced_forms(D, primitive):
     """Reduced forms |b| <= a <= c of D < 0, b >= 0 when |b| = a or a = c."""
     count = 0
@@ -241,6 +290,72 @@ def test_scalar_counts_match_sweeps():
         assert hstar_neg(D) == hstar[D], D
         got = hurwitz(-D)
         assert type(got) is Fraction and got == H[-D], D
+
+
+def test_counts_match_well_count():
+    for D in _discs_neg(LIMIT):
+        assert (h_neg(D), hstar_neg(D), hurwitz(-D)) == ref_counts(D), D
+
+
+@given(st.integers(1, 250000), st.booleans())
+@settings(max_examples=20, deadline=None)
+def test_counts_match_well_count_large(m, even):
+    D = -4 * m if even else 1 - 4 * m
+    assert (h_neg(D), hstar_neg(D), hurwitz(-D)) == ref_counts(D)
+
+
+def test_reduced_forms_are_reduced():
+    for D in range(-3000, 0):
+        if D % 4 not in (0, 1):
+            continue
+        forms = list(reduced_forms(D))
+        assert len(set(forms)) == len(forms) == hstar_neg(D), D
+        for a, b, c in forms:
+            assert is_reduced_neg((a, b, c)), (D, a, b, c)
+            assert b * b - 4 * a * c == D, (D, a, b, c)
+
+
+@pytest.mark.parametrize("D", [0, 5, -1, -2, -5, -6])
+def test_reduced_forms_domain(D):
+    with pytest.raises(DomainError):
+        list(reduced_forms(D))
+
+
+# hurwitz_series(D, 8) as the former kernel listed the reduced forms; D = -64
+# has (4, 0, 4), weighted 1/2, beside (4, 4, 5), weighted 1, with 4a^2 = |D|
+HURWITZ_SERIES_8 = {
+    -3: ("0x1.54d7b911bfd59p-2", 766),
+    -4: ("0x1.ff255e9f4d8d2p-2", 766),
+    -23: ("0x1.7e614c827941ep+1", 2298),
+    -47: ("0x1.3dcadf743dd10p+2", 3830),
+    -64: ("0x1.ba7344d4ed81cp+1", 3064),
+    -140: ("0x1.f7fd43179a01bp+2", 6128),
+    -299: ("0x1.f140815ec74bap+2", 6128),
+    -1000: ("0x1.6bc32cade648bp+3", 9192),
+}
+
+
+@pytest.mark.parametrize("D", sorted(HURWITZ_SERIES_8))
+def test_hurwitz_series_pinned(D):
+    rep = hurwitz_series(D, 8)
+    assert (rep.value.hex(), rep.terms_used) == HURWITZ_SERIES_8[D]
+
+
+def test_factorization_helpers_match_sympy():
+    from sympy import totient
+    for m in range(1, 3000):
+        assert euler_phi(m) == totient(m), m
+        assert moebius_mu(m) == mobius(m), m
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hstar_neg(-6), lambda: h_neg(-5), lambda: h_pos(6),
+    lambda: divisor_rows(7, 1, 5), lambda: principal_form(6),
+    lambda: river_period(7), lambda: h1(-6), lambda: hurwitz_series(-5, 3),
+    lambda: series_seed(6)])
+def test_one_discriminant_check(call):
+    with pytest.raises(DomainError, match="discriminant must be 0 or 1 mod 4"):
+        call()
 
 
 def test_tables_match_scalar_counts():

@@ -2,7 +2,8 @@
 it, against the loops they replaced.
 
 The reference functions below are the former trial loops of
-`omega_enumerate` and `series._all_reduced_neg`, the smallest-prime-factor
+`omega_enumerate` and `series._all_reduced_neg` (whose list of reduced
+forms `reduce.reduced_forms` now gives), the smallest-prime-factor
 sieve path (`_spf_sieve`, `_factor`, `_divisors`) of `square_log_identity`
 with one float rounding per term, and the depth-first Stern-Brocot walk and
 gcd-filtered lattice sum of `eisenstein_check`.  The kernel's rows are
@@ -20,7 +21,8 @@ from topoforms import series
 from topoforms.exact import DomainError
 from topoforms.forms import QuadForm
 from topoforms.reduce import (OmegaEntry, divisor_rows, omega_enumerate,
-                              z_forms, zagier_classes, zstar_forms)
+                              reduced_forms, z_forms, zagier_classes,
+                              zstar_forms)
 from topoforms.series import (W1, eisenstein_check, root_product_all,
                               square_log_identity)
 
@@ -221,7 +223,7 @@ def test_omega_enumerate_matches_trial_loop_large(D):
 def test_all_reduced_neg_matches_trial_loop():
     for D in range(-3000, 0):
         if D % 4 in (0, 1):
-            assert series._all_reduced_neg(D) == ref_all_reduced_neg(D), D
+            assert sorted(reduced_forms(D)) == ref_all_reduced_neg(D), D
 
 
 @pytest.mark.parametrize("D", [6, 7, 10, 11])
