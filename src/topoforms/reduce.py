@@ -12,7 +12,7 @@ import numpy as np
 
 from .exact import DomainError, check_discriminant, is_square, isqrt
 from .forms import QuadForm, UniMat, turn_sequence_matrix
-from .topograph import (block_step, definite_blocks, floor_root,
+from .topograph import (_block, block_step, definite_blocks, floor_root,
                         is_reduced_neg, river_blocks, root_path,
                         square_reduction)
 
@@ -128,10 +128,10 @@ def reduce_simple_cycle(q):
     collected = []  # (form, block index, turns into the block)
     for i, ((letter, k), f) in enumerate(zip(period.word, period.forms)):
         lo = 0
-        while lo < k and is_simply_reduced(block_step(f, letter, lo)):
+        while lo < k and is_simply_reduced(_block(*f, letter, lo)):
             lo += 1
         hi = k
-        while hi > lo and is_simply_reduced(block_step(f, letter, hi - 1)):
+        while hi > lo and is_simply_reduced(_block(*f, letter, hi - 1)):
             hi -= 1
         for j in chain(range(lo), range(hi, k)):
             collected.append((block_step(f, letter, j), i, j))
@@ -139,8 +139,8 @@ def reduce_simple_cycle(q):
     cycle = tuple(f for f, _, _ in collected[best:] + collected[:best])
     _, i, j = collected[best]
     word = period.word[:i] + ((period.word[i][0], j),)
-    steps = root.word + tuple((letter, 1) for letter, k in word
-                              for _ in range(k))
+    steps = root.word + tuple(chain.from_iterable(
+        [(letter, 1)] * k for letter, k in word))
     return ReductionResult(cycle, turn_sequence_matrix(root.word + word),
                            steps)
 

@@ -10,6 +10,7 @@ import json
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,12 +36,9 @@ class TurnPath:
         self.count = count
         self._len = count + (prefix._len if prefix is not None else 0)
 
-    @classmethod
-    def of(cls, turns):
-        path = cls()
-        for turn in turns:
-            path = path.then(turn)
-        return path
+    @staticmethod
+    def of(turns):
+        return turn_path((turn, 1) for turn in turns)
 
     def then(self, turn, count=1):
         """This path followed by `count` copies of `turn`."""
@@ -86,8 +84,7 @@ class TurnPath:
         return f"TurnPath({tuple(self)!r})"
 
 
-@dataclass(frozen=True)
-class EdgeCursor:
+class EdgeCursor(NamedTuple):
     """A directed edge carrying `form`; `path` records the turns from the
     declared root (provenance only, it never affects navigation).  step()
     makes it a TurnPath; a plain tuple of turns is accepted as a start."""
@@ -96,10 +93,12 @@ class EdgeCursor:
     path: TurnPath = TurnPath()
 
 
-@dataclass(frozen=True)
-class VertexView:
+class VertexView(NamedTuple):
     regions: tuple  # (r, s, t)
     out_labels: tuple  # (e, f, g) directed out of the vertex
+
+
+_vertex_view = partial(tuple.__new__, VertexView)  # skips __new__'s call
 
 
 @dataclass(frozen=True)
@@ -116,36 +115,29 @@ class WellDescriptor:
     labels: tuple
 
 
-_STEPS = {
-    "L": lambda a, b, c: (a, b + 2 * a, a + b + c),
-    "R": lambda a, b, c: (a + b + c, b + 2 * c, c),
-    "Li": lambda a, b, c: (a, b - 2 * a, a - b + c),
-    "Ri": lambda a, b, c: (a - b + c, b - 2 * c, c),
-    "S": lambda a, b, c: (c, -b, a),
-}
-
-
 def step(cur, turn):
-    try:
-        f = _STEPS[turn]
-    except KeyError:
-        raise DomainError(f"unknown turn {turn!r}") from None
+    """The cursor moved by one turn: L, R, their inverses Li, Ri, or S."""
+    if turn not in ("L", "R", "Li", "Ri", "S"):
+        raise DomainError(f"unknown turn {turn!r}")
+    a, b, c = cur.form
+    form = (c, -b, a) if turn == "S" else _block(a, b, c, turn[0],
+                                                  -1 if turn[1:] else 1)
     path = cur.path
     if not isinstance(path, TurnPath):
         path = TurnPath.of(path)
-    return EdgeCursor(QuadForm(*f(*cur.form)), path.then(turn))
+    return EdgeCursor(QuadForm(*form), path.then(turn))
 
 
 def head_view(cur):
     """The vertex the cursor points at."""
     a, b, c = cur.form
-    return VertexView((a, c, a + b + c), (-b, b + 2 * a, b + 2 * c))
+    return _vertex_view(((a, c, a + b + c), (-b, b + 2 * a, b + 2 * c)))
 
 
 def tail_view(cur):
     """The vertex the cursor points away from."""
     a, b, c = cur.form
-    return VertexView((a, c, a - b + c), (b, 2 * a - b, 2 * c - b))
+    return _vertex_view(((a, c, a - b + c), (b, 2 * a - b, 2 * c - b)))
 
 
 # ------------------------------------------------------------ level kernel
@@ -213,7 +205,7 @@ def bfs_vertices(root, max_depth):
     """Every vertex within max_depth edges of the root cursor's tail vertex,
     exactly once, in deterministic (depth, then L-before-R) order."""
     for _, regions, out_labels in _ball(root, max_depth):
-        yield VertexView(regions, out_labels)
+        yield _vertex_view((regions, out_labels))
 
 
 # ------------------------------------------------------------- block walk
@@ -510,13 +502,21 @@ def unit_forms(word, form):
 
 def _unit_edges(word, form, path):
     # one cursor per unit turn of the blocks, on the form before the turn
-    # and with the path to it, and the letters of the turns
-    edges = []
-    letters = []
-    for edge, letter in unit_forms(word, form):
-        edges.append(EdgeCursor(_quad_form(edge), path))
-        letters.append(letter)
-        path = path.then(letter)
+    # and with the path to it, and the letters of the turns; the paths in a
+    # block are nodes of the run `end` that ends it, built directly
+    new = tuple.__new__
+    edges, letters = [], []
+    a, b, c = form
+    for letter, k in word:
+        end = path.then(letter, k)
+        for j in range(end.count - k + 1, end.count + 1):
+            edges.append(new(EdgeCursor, (new(QuadForm, (a, b, c)), path)))
+            if letter == "L":
+                b, c = b + 2 * a, a + b + c
+            else:
+                a, b = a + b + c, b + 2 * c
+            path = TurnPath(end.prefix, letter, j)
+        letters += repeat(letter, k)
     return edges, letters
 
 
