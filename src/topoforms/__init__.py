@@ -5,8 +5,7 @@ series identities the topograph carries."""
 
 from .contfrac import (CFExpansion, fd_member, general_cf, lr_decompose,
                        normalize_parity, real_cf)
-from .exact import (DomainError, Rat, Surd, is_square, isqrt, surd_cmp_rat,
-                    surd_floor)
+from .exact import DomainError, Rat, Surd, is_square, isqrt, surd_floor
 from .forms import (ID, MAT_L, MAT_R, MAT_S, MAT_U, QuadForm, Roots, UniMat,
                     act, content_split, roots, turn_sequence_matrix)
 from .topograph import (EdgeCursor, RiverDescriptor, VertexView,

@@ -143,24 +143,12 @@ def r3(n):
 
 
 def r3_primitive(n):
-    """Same count restricted to gcd(x,y,z) = 1."""
+    """Same count restricted to gcd(x,y,z) = 1, by Moebius inversion of
+    r3(n) = sum of r3_primitive(n/g^2) over g^2 | n."""
     if n < 0:
         raise DomainError("r3 needs n >= 0")
-    total = 0
-    sx = isqrt(n)
-    for x in range(-sx, sx + 1):
-        rem_x = n - x * x
-        sy = isqrt(rem_x)
-        for y in range(-sy, sy + 1):
-            rem = rem_x - y * y
-            z = isqrt(rem)
-            if z * z == rem:
-                if z == 0:
-                    if gcd(x, y) == 1:
-                        total += 1
-                elif gcd(gcd(x, y), z) == 1:
-                    total += 2
-    return total
+    return sum(moebius_mu(g) * r3(n // (g * g))
+               for g in range(1, isqrt(n) + 1) if n % (g * g) == 0)
 
 
 def r3_via_class(n):

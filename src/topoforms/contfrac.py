@@ -1,13 +1,13 @@
-"""Continued fractions: the classical algorithm for rationals and real surds,
-and the general algorithm for complex surds that stops on reaching the
-fundamental domain F' of the extended modular group.  `general_cf` and
-`lr_decompose` take their terms from the topograph's integer block walk on
-the positive definite form whose first root is the surd, and build the tail
-surd once, from the form the walk ends on.
+"""Continued fractions: Euclid's algorithm for rationals, and for real and
+complex quadratic surds one algorithm, the topograph's integer block walk on
+the form whose first root is the surd.  `real_cf` reads a real surd's
+preperiod and period off the walk; `general_cf` and `lr_decompose` walk a
+definite form into the fundamental domain F' of the extended modular group,
+and build the tail surd once, from the form the walk ends on.
 """
 
-from .exact import DomainError, Rat, Surd, surd_floor
-from .topograph import definite_blocks, is_reduced_neg
+from .exact import DomainError, Rat, Surd
+from .topograph import definite_blocks, is_reduced_neg, walk
 
 
 class CFExpansion:
@@ -36,8 +36,9 @@ class CFExpansion:
         return f"<{bits}>"
 
 
-def _definite_form(z):
-    # z = (p + q sqrt d)/r, q > 0, is the first root of [r^2, -2pr, r^2 |z|^2]
+def _root_form(z):
+    # z = (p + q sqrt d)/r is the first root of [r^2, -2pr, p^2 - q^2 d] for
+    # q > 0 (the last is r^2 |z|^2 for complex z), of its negative for q < 0
     p, q, r, d = z.p, z.q, z.r, z.d
     return r * r, -2 * p * r, p * p - q * q * d
 
@@ -58,7 +59,7 @@ def fd_member(z, which):
             z = -z
     if z.q <= 0:
         return False
-    a, b, c = _definite_form(z)
+    a, b, c = _root_form(z)
     return is_reduced_neg((a, b, c)) or (
         which != "F" and is_reduced_neg((c, -b, a)))
 
@@ -66,8 +67,9 @@ def fd_member(z, which):
 def real_cf(x):
     """Continued fraction of a rational or a real quadratic surd.
 
-    Rationals give a finite expansion; surds give preperiod + period, the
-    period detected on the first repeated remainder.
+    Rationals give a finite expansion by Euclid's loop; surds give preperiod
+    + period from the topograph's block walk, the period starting at the
+    first complete quotient seen twice.
     """
     if isinstance(x, int):
         x = Rat(x)
@@ -76,30 +78,31 @@ def real_cf(x):
     if isinstance(x, Rat):
         if x.is_infinite():
             raise DomainError("continued fraction of infinity")
-        terms = []
-        num, den = x.num, x.den
-        while True:
-            a = num // den
-            terms.append(a)
-            num, den = den, num - a * den
-            if den == 0:
-                return CFExpansion(terms)
+        terms, num, den = [], x.num, x.den
+        while den:
+            terms.append(num // den)
+            num, den = den, num % den
+        return CFExpansion(terms)
     if not isinstance(x, Surd):
         raise DomainError("real_cf wants a Rat or Surd")
     if x.d < 0:
         raise DomainError("real_cf wants a real value")
-    terms = []
-    seen = {}
-    cur = x
-    while True:
-        key = cur.key()
+    # walked from L, each block's k is the next partial quotient; the quotient
+    # it floors is the first root of (a, b, c) before an L block and of
+    # (-c, -b, -a) before an R block, and the period starts at a repeat
+    form = tuple(v if x.q > 0 else -v for v in _root_form(x))
+    seen = {form: 0}
+
+    def repeats(a, b, c, letter, k):
+        key = (-c, -b, -a) if letter == "L" else (a, b, c)
         if key in seen:
-            i = seen[key]
-            return CFExpansion(terms[:i], period=terms[i:])
-        seen[key] = len(terms)
-        a = surd_floor(cur)
-        terms.append(a)
-        cur = (cur - a).invert()
+            return 0
+        seen[key] = len(seen)
+
+    word, (a, b, c) = walk(form, "L", repeats)
+    terms = [k for _, k in word]
+    i = seen[(-c, -b, -a) if word[-1][0] == "L" else (a, b, c)]
+    return CFExpansion(terms[:i], period=terms[i:])
 
 
 def normalize_parity(cf, want_odd_index):
@@ -130,9 +133,9 @@ def general_cf(z):
     # in the lower half plane z = 1/zeta for the first root zeta of the
     # reversed form, and the walk starts with an R block
     if z.q > 0:
-        word, (A, B, C) = definite_blocks(_definite_form(z), "L")
+        word, (A, B, C) = definite_blocks(_root_form(z), "L")
     else:
-        word, (A, B, C) = definite_blocks(_definite_form(z)[::-1], "R")
+        word, (A, B, C) = definite_blocks(_root_form(z)[::-1], "R")
     t = 2 * z.r * abs(z.q)
     if word[-1][0] == "L":
         tail = Surd(-B, t, 2 * A, z.d)
@@ -146,7 +149,7 @@ def lr_decompose(z):
     z1 in F ∪ SF; needs_S is true when z1 lies in SF (append S to the word)."""
     if z.d >= 0 or z.q <= 0:
         raise DomainError("lr_decompose wants an upper-half-plane surd")
-    word, g = definite_blocks(_definite_form(z))
+    word, g = definite_blocks(_root_form(z))
     # z1 is the first root of the end form, the tail z0 after an L block
     # and 1/z0 after an R block; it lies in F when the form is reduced
     z1 = Surd(-g[1], 2 * z.r * z.q, 2 * g[0], z.d)

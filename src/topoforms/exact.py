@@ -64,9 +64,12 @@ class Rat:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # an integral Rat equals its int, so it hashes like it
+        return hash(self.num) if self.den == 1 else hash((self.num, self.den))
 
     def _cmp(self, other):
+        if isinstance(other, int):
+            other = Rat(other)
         # infinities: -1/0 < every finite < +1/0
         if self.is_infinite() and other.is_infinite():
             return (self.num > other.num) - (self.num < other.num)
@@ -79,23 +82,15 @@ class Rat:
         return (lhs > rhs) - (lhs < rhs)
 
     def __lt__(self, other):
-        if isinstance(other, int):
-            other = Rat(other)
         return self._cmp(other) < 0
 
     def __le__(self, other):
-        if isinstance(other, int):
-            other = Rat(other)
         return self._cmp(other) <= 0
 
     def __gt__(self, other):
-        if isinstance(other, int):
-            other = Rat(other)
         return self._cmp(other) > 0
 
     def __ge__(self, other):
-        if isinstance(other, int):
-            other = Rat(other)
         return self._cmp(other) >= 0
 
     def _require_finite(self):
@@ -238,25 +233,6 @@ class Surd:
         n = self.p * self.p - self.q * self.q * self.d
         return Surd(self.r * self.p, -self.r * self.q, n, self.d)
 
-    def sign(self):
-        # sign of the real value; d > 0 only
-        if self.d < 0:
-            raise DomainError("sign of a complex surd")
-        p, q = self.p, self.q
-        if q == 0:
-            return (p > 0) - (p < 0)
-        if p == 0:
-            return 1 if q > 0 else -1
-        if p > 0 and q > 0:
-            return 1
-        if p < 0 and q < 0:
-            return -1
-        # opposite signs: compare p^2 against q^2 d
-        big = p * p > q * q * self.d
-        if p > 0:
-            return 1 if big else -1
-        return -1 if big else 1
-
     def floor(self):
         return surd_floor(self)
 
@@ -290,13 +266,3 @@ def surd_floor(x):
         t = x.p - rt - 1  # -q sqrt d, irrational so always rounds down
     return t // x.r
 
-
-def surd_cmp_rat(x, y):
-    """Three-way comparison of a real surd against a Rat: -1, 0, +1."""
-    if x.d < 0:
-        raise DomainError("comparison of a complex surd")
-    if y.is_infinite():
-        return -y.num
-    # x - y = ((p*den - num*r) + q*den*sqrt(d)) / (r*den)
-    diff = Surd(x.p * y.den - y.num * x.r, x.q * y.den, x.r * y.den, x.d)
-    return diff.sign()

@@ -41,7 +41,8 @@ from .exact import (DomainError, Surd, check_discriminant, finite_float,
                     is_square, isqrt, surd_floor)
 from .forms import QuadForm
 from .reduce import (_primes, divisor_rows, reduce_simple_cycle,
-                     reduced_forms, z_forms, zagier_classes, zstar_forms)
+                     reduced_forms, z_forms, zagier_classes, zagier_cycle,
+                     zstar_forms)
 from .riverword import epsilon
 from .topograph import (_LABEL_MAX, EdgeCursor, _levels, ball_levels,
                         block_step, river_blocks, river_start,
@@ -519,12 +520,10 @@ def root_product(q):
         raise DomainError("root_product needs non-square D > 0")
     if q.content() != 1:
         raise DomainError("root_product needs a primitive form")
-    key = reduce_simple_cycle(q).canonical
-    cycle = next(cyc for cyc in zagier_classes(D)
-                 if reduce_simple_cycle(cyc[0]).canonical == key)
     prod = Surd(1, 0, 1, D)
-    # the Z form [a, b, c] is properly equivalent to the Z* form [c, -b, a]
-    for _, b, c in cycle:
+    # Zagier steps are proper, so q's own cycle is its class's; the Z form
+    # [a, b, c] is properly equivalent to the Z* form [c, -b, a]
+    for _, b, c in zagier_cycle(q):
         prod = prod * Surd(b, 1, 2 * c, D)
     return prod
 

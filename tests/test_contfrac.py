@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from topoforms.contfrac import (CFExpansion, fd_member, general_cf,
                                 lr_decompose, normalize_parity, real_cf)
-from topoforms.exact import DomainError, Rat, Surd
+from topoforms.exact import DomainError, Rat, Surd, is_square, surd_floor
 
 
 def _as_fraction(terms):
@@ -32,6 +32,44 @@ def test_surd_cf_periodic():
     assert cf.terms == [4] and cf.period == [1, 8]
     golden = real_cf(Surd(1, 1, 2, 5))
     assert golden.terms == [] and golden.period == [1]
+
+
+def ref_real_cf(x):
+    # the Surd loop real_cf replaced: floor, subtract, invert, until a
+    # complete quotient repeats
+    terms = []
+    seen = {}
+    cur = x
+    while True:
+        key = cur.key()
+        if key in seen:
+            i = seen[key]
+            return CFExpansion(terms[:i], period=terms[i:])
+        seen[key] = len(terms)
+        a = surd_floor(cur)
+        terms.append(a)
+        cur = (cur - a).invert()
+
+
+def test_real_cf_matches_surd_loop_on_small_surds():
+    # every sqrt(D) and (p + sqrt(D))/r with D < 2000, r <= 5, |p| <= 4
+    for D in range(2, 2000):
+        if is_square(D):
+            continue
+        for r in range(1, 6):
+            for p in range(-4, 5):
+                x = Surd(p, 1, r, D)
+                assert real_cf(x) == ref_real_cf(x), x
+
+
+@given(st.integers(-500, 500), st.sampled_from([1, -1, 2, -2, 3, -3, 5, -7]),
+       st.integers(1, 60), st.integers(2, 3000))
+def test_real_cf_matches_surd_loop(p, q, r, d):
+    # q of either sign; d is not square-free in general (12, 18, 2000, ...)
+    if is_square(d):
+        return
+    x = Surd(p, q, r, d)
+    assert real_cf(x) == ref_real_cf(x)
 
 
 @given(st.lists(st.integers(1, 9), min_size=1, max_size=8),

@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from topoforms.exact import (DomainError, Rat, Surd, is_square, isqrt,
-                             surd_cmp_rat, surd_floor)
+from topoforms.exact import DomainError, Rat, Surd, is_square, isqrt, surd_floor
 
 
 def test_isqrt_is_square():
@@ -26,6 +25,12 @@ class TestRat:
         assert Rat(-3, 0) < Rat(0, 1) < inf
         assert inf.invert() == Rat(0, 1)
         assert Rat(0, 1).invert() == inf
+
+    def test_integral_rat_hashes_like_its_int(self):
+        assert Rat(3) == 3 and hash(Rat(3)) == hash(3)
+        assert 3 in {Rat(3)} and Rat(-6, 2) in {-3}
+        assert {Rat(0): "zero"}[0] == "zero"
+        assert hash(Rat(1, 2)) == hash(Rat(2, 4))
 
     def test_floor(self):
         assert Rat(-5, 18).floor() == -1
@@ -63,7 +68,6 @@ class TestSurd:
         approx = (p + q * math.sqrt(d)) / r
         assert math.isclose(float(s), approx)
         assert surd_floor(s) == math.floor(approx)
-        assert s.sign() == (0 if approx == 0 else math.copysign(1, approx))
 
     @given(SMALL, SMALL, SMALL, NONSQ)
     def test_invert_roundtrip(self, p, q, r, d):
@@ -72,20 +76,6 @@ class TestSurd:
         s = Surd(p, q, r, d)
         assert s.invert().invert() == s
         assert s * s.invert() == Surd(1, 0, 1, d)
-
-    @given(SMALL, SMALL, SMALL, NONSQ,
-           st.fractions(min_value=-50, max_value=50, max_denominator=500))
-    def test_cmp_rat(self, p, q, r, d, x):
-        if r == 0:
-            return
-        s = Surd(p, q, r, d)
-        c = surd_cmp_rat(s, Rat(x.numerator, x.denominator))
-        diff = (p + q * math.sqrt(d)) / r - float(x)
-        # q*sqrt(d) is irrational unless q=0, so ties only happen exactly
-        if q != 0 or Fraction(p, r) != x:
-            assert c == math.copysign(1, diff)
-        else:
-            assert c == 0
 
     def test_conj_and_floor(self):
         z = Surd(-1, 1, 2, 5)  # (-1+sqrt5)/2

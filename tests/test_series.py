@@ -5,7 +5,7 @@ import pytest
 
 from topoforms.exact import DomainError, Surd
 from topoforms.forms import QuadForm
-from topoforms.riverword import epsilon
+from topoforms.riverword import epsilon, principal_form
 from topoforms.series import (POINCARE_ALL_ONES, POINCARE_ONE_TWO_TWO,
                               SeriesReport, W1, W2, eisenstein_check,
                               hurwitz_series, root_product, root_product_all,
@@ -143,6 +143,12 @@ def test_root_products():
     assert all_prod == acc
     with pytest.raises(DomainError):
         root_product(QuadForm(2, 0, -48))
+
+
+def test_root_product_at_large_discriminant():
+    # q's own Zagier cycle, well beyond the classes enumerated elsewhere
+    D = 10**6 + 1
+    assert root_product(principal_form(D)) == epsilon(D)
 
 
 def test_eisenstein_check():
