@@ -3,16 +3,19 @@
     PYTHONPATH=src python -m pytest bench/bench_rivers.py \
         --benchmark-json=out.json
 
-The file name keeps these out of the tier-1 test run.  `find_river` and
-`reduce_simple_cycle` run on the principal form of D = 1003033 (a period of
-5,590 unit edges), D = 2000133 (2,034) and D = 100000037 (71,710).  Each
+The file name keeps these out of the tier-1 test run.  `find_river`,
+`find_river` followed by reading every edge, and `reduce_simple_cycle` run
+on the principal form of D = 1003033 (a period of 5,590 unit edges),
+D = 2000133 (2,034) and D = 100000037 (71,710).  `find_river` also runs on
+[1, 2^28 + 1, -1], whose river is two blocks of 2^28 + 1 turns.  Each
 benchmark records in `extra_info` the unit edges of the period and its
-blocks, so that a result reads as time per unit edge.  The forms start on
-their river, so the walk to it costs nothing here.
+blocks, and the median time per edge and per block in microseconds.  The
+forms start on their river, so the walk to it costs nothing here.
 """
 
 import pytest
 
+from topoforms.forms import QuadForm
 from topoforms.reduce import reduce_simple_cycle
 from topoforms.riverword import principal_form
 from topoforms.topograph import find_river, river_blocks
@@ -20,22 +23,39 @@ from topoforms.topograph import find_river, river_blocks
 DISCS = [1003033, 2000133, 100000037]
 
 
-def _run(benchmark, fn, D):
-    q = principal_form(D)
+def _run(benchmark, fn, q):
     word = river_blocks(q).word
-    benchmark.extra_info.update(D=D, edges=sum(k for _, k in word),
+    edges = sum(k for _, k in word)
+    benchmark.extra_info.update(D=q.discriminant(), edges=edges,
                                 blocks=len(word))
-    return benchmark.pedantic(fn, (q,), rounds=5, iterations=1,
-                              warmup_rounds=1)
+    out = benchmark.pedantic(fn, (q,), rounds=5, iterations=1,
+                             warmup_rounds=1)
+    if benchmark.stats:  # None under --benchmark-disable
+        us = benchmark.stats.stats.median * 1e6
+        benchmark.extra_info.update(us_per_edge=us / edges,
+                                    us_per_block=us / len(word))
+    return out
 
 
 @pytest.mark.parametrize("D", DISCS)
 def test_find_river(benchmark, D):
-    river = _run(benchmark, find_river, D)
+    river = _run(benchmark, find_river, principal_form(D))
     assert len(river.edges) == benchmark.extra_info["edges"]
+
+
+def test_find_river_two_long_blocks(benchmark):
+    river = _run(benchmark, find_river, QuadForm(1, 2 ** 28 + 1, -1))
+    assert len(river.edges) == 2 * (2 ** 28 + 1)
+
+
+@pytest.mark.parametrize("D", DISCS)
+def test_find_river_every_edge(benchmark, D):
+    edges = _run(benchmark, lambda q: list(find_river(q).edges),
+                 principal_form(D))
+    assert len(edges) == benchmark.extra_info["edges"]
 
 
 @pytest.mark.parametrize("D", DISCS)
 def test_reduce_simple_cycle(benchmark, D):
-    res = _run(benchmark, reduce_simple_cycle, D)
+    res = _run(benchmark, reduce_simple_cycle, principal_form(D))
     assert res.canonical

@@ -12,8 +12,8 @@ import numpy as np
 
 from .exact import DomainError, check_discriminant, is_square, isqrt
 from .forms import QuadForm, UniMat, turn_sequence_matrix
-from .topograph import (_block, block_step, definite_blocks, floor_root,
-                        is_reduced_neg, river_blocks, root_path,
+from .topograph import (_block, _quad_form, block_step, definite_blocks,
+                        floor_root, is_reduced_neg, river_blocks, root_path,
                         square_reduction)
 
 
@@ -147,52 +147,62 @@ def reduce_simple_cycle(q):
 
 # ------------------------------------------------------- Gauss and Zagier
 
-def gauss_step(q):
-    a, b, c = q
+def _stepping_isqrt(q, name):
+    # isqrt(D) for the Gauss and Zagier steps, which need non-square D > 0;
+    # there a and c are never 0, since ac = 0 would make D = b^2
     D = q.discriminant()
     if D <= 0 or is_square(D):
-        raise DomainError("gauss_step needs non-square D > 0")
-    if c == 0:
-        raise DomainError("gauss_step needs c != 0")
+        raise DomainError(f"{name} needs non-square D > 0")
+    return isqrt(D)
+
+
+def _gauss(a, b, c, s):
     # k = sgn(c) floor((b + sqrt(D)) / (2|c|)), and q | (0 -1; 1 k)
-    k = floor_root(b, 1, 2 * abs(c), isqrt(D)) * (1 if c > 0 else -1)
-    return QuadForm(c, 2 * c * k - b, (c * k - b) * k + a)
+    k = floor_root(b, 1, 2 * abs(c), s) * (1 if c > 0 else -1)
+    return c, 2 * c * k - b, (c * k - b) * k + a
+
+
+def _zagier(a, b, c, s):
+    # k = ceil((b + sqrt(D)) / (2a)), where (b + sqrt(D)) / (2a) is
+    # irrational, and q | (k 1; -1 0)
+    k = floor_root(b, 1, 2 * a, s) + 1
+    return a * k * k - b * k + c, 2 * a * k - b, a
+
+
+def gauss_step(q):
+    s = _stepping_isqrt(q, "gauss_step")
+    return QuadForm(*_gauss(*q, s))
 
 
 def zagier_step(q):
-    a, b, c = q
-    D = q.discriminant()
-    if D <= 0 or is_square(D):
-        raise DomainError("zagier_step needs non-square D > 0")
-    if a == 0:
-        raise DomainError("zagier_step needs a != 0")
-    # k = ceil((b + sqrt(D)) / (2a)), where (b + sqrt(D)) / (2a) is irrational
-    k = floor_root(b, 1, 2 * a, isqrt(D)) + 1
-    # q | (k 1; -1 0)
-    return QuadForm(a * k * k - b * k + c, 2 * a * k - b, a)
+    s = _stepping_isqrt(q, "zagier_step")
+    return QuadForm(*_zagier(*q, s))
 
 
-def _step_cycle(q, stepper):
+def _step_cycle(q, name, step):
+    # the cycle q's orbit under step(a, b, c, isqrt(D)) runs into, stepped
+    # on int triples; QuadForms are built only for the cycle returned
+    s = _stepping_isqrt(q, name)
     seen = {}
     seq = []
-    cur = q
+    cur = tuple(q)
     while cur not in seen:
         seen[cur] = len(seq)
         seq.append(cur)
-        cur = stepper(cur)
+        cur = step(*cur, s)
     cycle = seq[seen[cur]:]
     best = min(range(len(cycle)), key=lambda i: cycle[i])
-    return tuple(cycle[best:] + cycle[:best])
+    return tuple(map(_quad_form, cycle[best:] + cycle[:best]))
 
 
 def gauss_cycle(q):
     """The G-reduced cycle reached from q, canonically rotated."""
-    return _step_cycle(q, gauss_step)
+    return _step_cycle(q, "gauss_step", _gauss)
 
 
 def zagier_cycle(q):
     """The Z-reduced cycle reached from q, canonically rotated."""
-    return _step_cycle(q, zagier_step)
+    return _step_cycle(q, "zagier_step", _zagier)
 
 
 def zagier_classes(D):
@@ -200,16 +210,17 @@ def zagier_classes(D):
     per primitive class, each in stepping order from its first form in
     z_forms order; every form is visited once."""
     forms = [q for q in z_forms(D) if q.content() == 1]
+    s = _stepping_isqrt(forms[0], "zagier_step") if forms else None
     unseen = set(forms)
     out = []
     for start in forms:
         if start not in unseen:
             continue
         cycle = [start]
-        q = zagier_step(start)
+        q = _zagier(*start, s)
         while q != start:
-            cycle.append(q)
-            q = zagier_step(q)
+            cycle.append(_quad_form(q))
+            q = _zagier(*q, s)
         unseen.difference_update(cycle)
         out.append(tuple(cycle))
     return out

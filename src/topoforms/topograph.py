@@ -3,13 +3,17 @@ kernel with BFS and dot/json export as views over it, and the integer block
 walk that reduces forms of every discriminant and locates wells and rivers.
 
 The tree is never materialized: a cursor is a form plus the turn word that
-produced it, and the level kernel holds one level at a time.
+produced it, and the level kernel holds one level at a time.  A river is
+held as its run-length blocks, built by `find_river` in O(blocks); its
+`edges` and `word` are lazy read-only sequence views over them.
 """
 
-import json
+import operator
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -103,9 +107,16 @@ _vertex_view = partial(tuple.__new__, VertexView)  # skips __new__'s call
 
 @dataclass(frozen=True)
 class RiverDescriptor:
-    kind: str  # "periodic" or "finite"
-    edges: tuple  # EdgeCursor sequence: one period, or lake to lake
-    word: tuple  # the L/R letters taken along edges
+    """A river: one period for non-square D > 0 ("periodic"), or the stretch
+    from lake to lake for square D ("finite").  `edges` (EdgeCursor) and
+    `word` (the L/R letter taken along each edge) are read-only sequence
+    views over the river's run-length blocks: building one is O(blocks),
+    an index is O(log blocks), and each compares and hashes equal to the
+    tuple of its items."""
+
+    kind: str
+    edges: "RiverEdges"
+    word: "RiverWord"
 
 
 @dataclass(frozen=True)
@@ -449,9 +460,146 @@ def river_blocks(q0):
     return RiverBlocks(tuple(word), tuple(forms))
 
 
+class _RiverRuns(NamedTuple):
+    # a river's blocks of k > 0 turns: block i takes letters[i] for turns
+    # offsets[i] .. offsets[i + 1] - 1 of the river, from forms[i]; paths[i]
+    # is the path to its first edge, and paths[i + 1] the one node that
+    # ends it (extending the previous run when the letters agree)
+    letters: list
+    offsets: list
+    forms: list
+    paths: list
+
+
+def _river_runs(word, forms, path):
+    letters, offsets, kept, paths = [], [0], [], [path]
+    for (letter, k), form in zip(word, forms):
+        if k:
+            path = path.then(letter, k)
+            letters.append(letter)
+            offsets.append(offsets[-1] + k)
+            kept.append(form)
+            paths.append(path)
+    return _RiverRuns(letters, offsets, kept, paths)
+
+
+class _RiverView(Sequence):
+    # turns lo .. lo + len - 1 of a river's runs, read without copying;
+    # _item(i, j) is the item of turn j of block i
+    __slots__ = ("_runs", "_lo", "_len")
+
+    def __init__(self, runs, lo=0, hi=None):
+        self._runs = runs
+        self._lo = lo
+        self._len = max((runs.offsets[-1] if hi is None else hi) - lo, 0)
+
+    def __len__(self):
+        return self._len
+
+    def _spans(self):
+        # (i, j0, j1): turns j0 .. j1 - 1 of block i lie in the view
+        if not self._len:
+            return
+        offsets = self._runs.offsets
+        lo = self._lo
+        hi = lo + self._len
+        i = bisect_right(offsets, lo) - 1
+        while offsets[i] < hi:
+            start = offsets[i]
+            yield i, max(lo - start, 0), min(hi, offsets[i + 1]) - start
+            i += 1
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, stride = index.indices(self._len)
+            if stride == 1:
+                lo = self._lo
+                return tuple(type(self)(self._runs, lo + start,
+                                        lo + max(start, stop)))
+            return tuple(self[i] for i in range(start, stop, stride))
+        i = operator.index(index)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("river index out of range")
+        offsets = self._runs.offsets
+        t = self._lo + i
+        block = bisect_right(offsets, t) - 1
+        return self._item(block, t - offsets[block])
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _RiverView)):
+            return len(self) == len(other) and tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return f"<{type(self).__name__} of {self._len} turns>"
+
+
+class RiverEdges(_RiverView):
+    """The edges of a river, as EdgeCursors on the form before each unit
+    turn and with the path to it: a read-only sequence view over its
+    blocks.  Edge j of a block is the block's first form moved by j turns,
+    and its path a node of the run that ends the block."""
+
+    __slots__ = ()
+
+    def _item(self, i, j):
+        letters, offsets, forms, paths = self._runs
+        end = paths[i + 1]
+        path = paths[i] if j == 0 else TurnPath(
+            end.prefix, letters[i],
+            end.count - offsets[i + 1] + offsets[i] + j)
+        form = _quad_form(_block(*forms[i], letters[i], j))
+        return tuple.__new__(EdgeCursor, (form, path))
+
+    def __iter__(self):
+        # one unit turn per edge, stepping (a, b, c) inline, in one loop per
+        # letter so that no edge tests its letter; the paths are nodes of
+        # each block's end run, built directly
+        new, node = tuple.__new__, TurnPath
+        letters, offsets, forms, paths = self._runs
+        for i, j0, j1 in self._spans():
+            end = paths[i + 1]
+            prefix, base = end.prefix, end.count - offsets[i + 1] + offsets[i]
+            edge = self._item(i, j0) if j0 else new(EdgeCursor,
+                                                    (forms[i], paths[i]))
+            yield edge
+            a, b, c = edge.form
+            if letters[i] == "L":
+                for j in range(base + j0 + 1, base + j1):
+                    b, c = b + 2 * a, a + b + c
+                    yield new(EdgeCursor, (new(QuadForm, (a, b, c)),
+                                           node(prefix, "L", j)))
+            else:
+                for j in range(base + j0 + 1, base + j1):
+                    a, b = a + b + c, b + 2 * c
+                    yield new(EdgeCursor, (new(QuadForm, (a, b, c)),
+                                           node(prefix, "R", j)))
+
+
+class RiverWord(_RiverView):
+    """The L/R letters a river takes along its edges: a read-only sequence
+    view over its blocks."""
+
+    __slots__ = ()
+
+    def _item(self, i, j):
+        return self._runs.letters[i]
+
+    def __iter__(self):
+        letters = self._runs.letters
+        return chain.from_iterable(repeat(letters[i], j1 - j0)
+                                   for i, j0, j1 in self._spans())
+
+
 def find_river(q):
     """Locate the river: one full period for non-square D>0, or the whole
-    lake-to-lake stretch for square D.  Every edge's path replays from q."""
+    lake-to-lake stretch for square D.  Every edge's path replays from q.
+    Only the river's blocks are built, in O(blocks) time and memory."""
     D = q.discriminant()
     if D <= 0:
         raise DomainError("find_river needs positive discriminant")
@@ -461,13 +609,18 @@ def find_river(q):
         # lakes, and the edges are the forms after every turn but the last
         steps, q0 = square_reduction(q)
         _, m, r = q0
-        edges, letters = _unit_edges(square_river_blocks(q0), (r, -m, 0),
-                                     turn_path(steps).then("S"))
-        return RiverDescriptor("finite", tuple(edges[1:]),
-                               tuple(letters[1:-1]))
+        word = square_river_blocks(q0)
+        forms = [QuadForm(r, -m, 0)]
+        for letter, k in word[:-1]:
+            forms.append(block_step(forms[-1], letter, k))
+        runs = _river_runs(word, forms, turn_path(steps).then("S"))
+        n = runs.offsets[-1]
+        return RiverDescriptor("finite", RiverEdges(runs, 1, n),
+                               RiverWord(runs, 1, n - 1))
     anchor, path = river_start(q)
-    edges, letters = _unit_edges(river_blocks(anchor).word, anchor, path)
-    return RiverDescriptor("periodic", tuple(edges), tuple(letters))
+    period = river_blocks(anchor)
+    runs = _river_runs(period.word, period.forms, path)
+    return RiverDescriptor("periodic", RiverEdges(runs), RiverWord(runs))
 
 
 def river_start(q):
@@ -500,24 +653,22 @@ def unit_forms(word, form):
             a, b, c = _block(a, b, c, letter, 1)
 
 
-def _unit_edges(word, form, path):
-    # one cursor per unit turn of the blocks, on the form before the turn
-    # and with the path to it, and the letters of the turns; the paths in a
-    # block are nodes of the run `end` that ends it, built directly
-    new = tuple.__new__
-    edges, letters = [], []
-    a, b, c = form
-    for letter, k in word:
-        end = path.then(letter, k)
-        for j in range(end.count - k + 1, end.count + 1):
-            edges.append(new(EdgeCursor, (new(QuadForm, (a, b, c)), path)))
-            if letter == "L":
-                b, c = b + 2 * a, a + b + c
-            else:
-                a, b = a + b + c, b + 2 * c
-            path = TurnPath(end.prefix, letter, j)
-        letters += repeat(letter, k)
-    return edges, letters
+_JSON_VERTEX = """\
+    {{
+      "id": {},
+      "regions": [
+        "{}",
+        "{}",
+        "{}"
+      ],
+      "out_labels": [
+        "{}",
+        "{}",
+        "{}"
+      ],
+      "parent": {},
+      "turn": {}
+    }}"""
 
 
 def export(root, max_depth, fmt):
@@ -535,14 +686,15 @@ def export(root, max_depth, fmt):
     parent = [None] + [max(v // 2 - 1, 0) for v in range(1, len(ball))]
     turn = [None, None] + ["LR"[v % 2] for v in range(2, len(ball))]
     if fmt == "json":
-        return json.dumps({
-            "discriminant": str(root.form.discriminant()),
-            "root": ",".join(str(x) for x in root.form),
-            "vertices": [{"id": v, "regions": [str(x) for x in regs],
-                          "out_labels": [str(x) for x in outs],
-                          "parent": parent[v], "turn": turn[v]}
-                         for v, (_, regs, outs) in enumerate(ball)]},
-            indent=2)
+        # the text json.dumps(doc, indent=2) gives, written directly: any
+        # indent sends json.dumps through its pure-Python encoder
+        vertices = ",\n".join(_JSON_VERTEX.format(
+            v, *regs, *outs, "null" if parent[v] is None else parent[v],
+            "null" if turn[v] is None else f'"{turn[v]}"')
+            for v, (_, regs, outs) in enumerate(ball))
+        return (f'{{\n  "discriminant": "{root.form.discriminant()}",\n'
+                f'  "root": "{",".join(map(str, root.form))}",\n'
+                f'  "vertices": [\n{vertices}\n  ]\n}}')
     lines = ["digraph topograph {"]
     lines += [f'  v{v} [label="{",".join(map(str, regs))}"];'
               for v, (_, regs, _) in enumerate(ball)]
