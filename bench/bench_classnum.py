@@ -1,5 +1,5 @@
-"""Layer benchmarks of the definite class numbers and the Hurwitz series on
-the list of reduced forms, for pytest-benchmark.
+"""Layer benchmarks of the class numbers and the Hurwitz series, for
+pytest-benchmark.
 
     PYTHONPATH=src python -m pytest bench/bench_classnum.py \
         --benchmark-json=out.json
@@ -10,14 +10,15 @@ lists and the trial divisions it makes (the length of the a range, summed
 over b), for `h_neg`, `hstar_neg` and `hurwitz` at |D| = 10^k + 3 (odd D)
 and 10^k + 4 (even D), k = 2 to 6, and the vertices `hurwitz_series` sums
 at D = -23 and -299 to depth 11, so that a result reads as time per form
-or per division.
+or per division.  `h_pos` at D = 10^k + 1, k = 4 to 6, records the classes
+and the primitive Zagier-reduced forms it finds, one river walk per class.
 """
 
 import pytest
 
-from topoforms.classnum import h_neg, hstar_neg, hurwitz
+from topoforms.classnum import h_neg, h_pos, hstar_neg, hurwitz
 from topoforms.exact import isqrt
-from topoforms.reduce import reduced_forms
+from topoforms.reduce import reduced_forms, zagier_classes
 from topoforms.series import hurwitz_series
 
 SIZES = [10 ** k + r for k in range(2, 7) for r in (3, 4)]
@@ -59,3 +60,10 @@ def test_hurwitz_series(benchmark, D):
     rep = _run(benchmark, hurwitz_series, D, 11, forms=forms,
                vertices=forms * (3 * 2 ** 11 - 2))
     assert rep.terms_used == benchmark.extra_info["vertices"]
+
+
+@pytest.mark.parametrize("D", [10 ** 4 + 1, 10 ** 5 + 1, 10 ** 6 + 1])
+def test_h_pos(benchmark, D):
+    classes = zagier_classes(D)
+    work = {"classes": len(classes), "z_forms": sum(map(len, classes))}
+    assert _run(benchmark, h_pos, D, **work) == work["classes"]

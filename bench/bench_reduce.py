@@ -9,9 +9,10 @@ the calls and the continued-fraction blocks walked, so that a result reads
 as time per call or per block.  The curves run over the size of the input:
 `reduce_negative` and `find_well` on definite forms with coefficients near
 10^3, 10^6, 10^12 and 10^30, `lr_decompose` on their first roots,
-`reduce_square` at m = 10, 100, 499 and 10^4, and `gauss_cycle` at D near
-10^3, 10^5 and 10^7.  Only functions that keep their names and outputs are
-timed, so the file runs unchanged on earlier versions of the library.
+`reduce_square` at m = 10, 100, 499 and 10^4, and `gauss_cycle` and
+`zagier_cycle` at D near 10^3, 10^5 and 10^7 on the same forms.  Only
+functions that keep their names and outputs are timed, so the file runs
+unchanged on earlier versions of the library.
 """
 
 import random
@@ -21,7 +22,7 @@ import pytest
 from topoforms.exact import Surd, is_square
 from topoforms.forms import QuadForm, UniMat, act
 from topoforms.reduce import (gauss_cycle, reduce_negative, reduce_square,
-                              reduce_simple_cycle)
+                              reduce_simple_cycle, zagier_cycle)
 from topoforms.contfrac import lr_decompose
 from topoforms.topograph import find_well
 
@@ -92,13 +93,24 @@ def test_reduce_square(benchmark, m):
     _run(benchmark, reduce_square, forms, blocks=blocks)
 
 
-@pytest.mark.parametrize("D", [10 ** 3 + 1, 10 ** 5 + 1, 10 ** 7 + 1])
-def test_gauss_cycle(benchmark, D):
+def _cycle_inputs(D):
     rng = random.Random(f"gauss:{D}")
     assert not is_square(D)
     # forms of D one block walk away from a simply reduced cycle
     start = QuadForm(1, 1, (1 - D) // 4)
     cycle = reduce_simple_cycle(start).canonical
-    forms = [_moved(rng, rng.choice(cycle), 10 ** 6) for _ in range(10)]
+    return [_moved(rng, rng.choice(cycle), 10 ** 6) for _ in range(10)]
+
+
+@pytest.mark.parametrize("D", [10 ** 3 + 1, 10 ** 5 + 1, 10 ** 7 + 1])
+def test_gauss_cycle(benchmark, D):
+    forms = _cycle_inputs(D)
     steps = sum(len(gauss_cycle(q)) for q in forms)
     _run(benchmark, gauss_cycle, forms, cycle_forms=steps)
+
+
+@pytest.mark.parametrize("D", [10 ** 3 + 1, 10 ** 5 + 1, 10 ** 7 + 1])
+def test_zagier_cycle(benchmark, D):
+    forms = _cycle_inputs(D)
+    steps = sum(len(zagier_cycle(q)) for q in forms)
+    _run(benchmark, zagier_cycle, forms, cycle_forms=steps)

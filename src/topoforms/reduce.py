@@ -1,7 +1,21 @@
 """Reduction procedures for every discriminant regime, the list of reduced
 definite forms, the Gauss and Zagier steps, the Omega_D parametrization of
 Zagier-reduced forms, and the divisor kernel that lists every form
-[a, b, c] with ac = |b^2 - D|/4."""
+[a, b, c] with ac = |b^2 - D|/4.
+
+The cycles of a non-square D > 0 class are read off one period of its
+river in whole blocks, `topograph.period_blocks` (Zagier, Zetafunktionen
+und quadratische Koerper, 1981; Buchmann-Vollmer, Binary Quadratic Forms,
+2007, ch. 6).  Every river edge f = [a, b, c] has a > 0 > c, and
+
+1. the simply reduced forms are the first edges of the river's blocks;
+2. the G-reduced forms are those edges too, an R block's as it is and an
+   L block's as its S image [c, -b, a]; a Gauss step moves each to the
+   next in river order;
+3. the Z-reduced forms are the L children f|L = [a, b + 2a, a + b + c] of
+   the edges f that come just before an R turn; a Zagier step moves each
+   to the one before it in river order.
+"""
 
 from dataclasses import dataclass
 from functools import partial
@@ -12,8 +26,8 @@ import numpy as np
 
 from .exact import DomainError, check_discriminant, is_square, isqrt
 from .forms import QuadForm, UniMat, turn_sequence_matrix
-from .topograph import (_block, _quad_form, block_step, definite_blocks,
-                        floor_root, is_reduced_neg, river_blocks, root_path,
+from .topograph import (_quad_form, definite_blocks, floor_root,
+                        is_reduced_neg, period_blocks, river_walk,
                         square_reduction)
 
 
@@ -120,29 +134,15 @@ def reduce_simple_cycle(q):
     D = q.discriminant()
     if D <= 0 or is_square(D):
         raise DomainError("reduce_simple_cycle needs non-square D > 0")
-    root = root_path(q)
-    period = river_blocks(root.form)
-    # on the river a > 0 > c, where |a + c| < |b| reads a - c < sqrt D
-    # (b^2 = D + 4ac); a - c is concave in the turn count along a block, so
-    # a block's simply reduced forms fill a prefix and a suffix of it
-    collected = []  # (form, block index, turns into the block)
-    for i, ((letter, k), f) in enumerate(zip(period.word, period.forms)):
-        lo = 0
-        while lo < k and is_simply_reduced(_block(*f, letter, lo)):
-            lo += 1
-        hi = k
-        while hi > lo and is_simply_reduced(_block(*f, letter, hi - 1)):
-            hi -= 1
-        for j in chain(range(lo), range(hi, k)):
-            collected.append((block_step(f, letter, j), i, j))
-    best = min(range(len(collected)), key=lambda n: collected[n][0])
-    cycle = tuple(f for f, _, _ in collected[best:] + collected[:best])
-    _, i, j = collected[best]
-    word = period.word[:i] + ((period.word[i][0], j),)
-    steps = root.word + tuple(chain.from_iterable(
-        [(letter, 1)] * k for letter, k in word))
-    return ReductionResult(cycle, turn_sequence_matrix(root.word + word),
-                           steps)
+    root, word, forms = river_walk(q)
+    # rule 1: the block starts, but the entry where the period from it
+    # wraps inside a block
+    first = int(word[0][0] == word[-1][0])
+    i = forms.index(min(forms[first:]), first)
+    steps = root + tuple(chain.from_iterable(
+        [(letter, 1)] * k for letter, k in word[:i]))
+    return ReductionResult(forms[i:] + forms[first:i],
+                           turn_sequence_matrix(root + word[:i]), steps)
 
 
 # ------------------------------------------------------- Gauss and Zagier
@@ -156,73 +156,74 @@ def _stepping_isqrt(q, name):
     return isqrt(D)
 
 
-def _gauss(a, b, c, s):
-    # k = sgn(c) floor((b + sqrt(D)) / (2|c|)), and q | (0 -1; 1 k)
-    k = floor_root(b, 1, 2 * abs(c), s) * (1 if c > 0 else -1)
-    return c, 2 * c * k - b, (c * k - b) * k + a
-
-
-def _zagier(a, b, c, s):
-    # k = ceil((b + sqrt(D)) / (2a)), where (b + sqrt(D)) / (2a) is
-    # irrational, and q | (k 1; -1 0)
-    k = floor_root(b, 1, 2 * a, s) + 1
-    return a * k * k - b * k + c, 2 * a * k - b, a
-
-
 def gauss_step(q):
     s = _stepping_isqrt(q, "gauss_step")
-    return QuadForm(*_gauss(*q, s))
+    a, b, c = q
+    # k = sgn(c) floor((b + sqrt(D)) / (2|c|)), and q | (0 -1; 1 k)
+    k = floor_root(b, 1, 2 * abs(c), s) * (1 if c > 0 else -1)
+    return QuadForm(c, 2 * c * k - b, (c * k - b) * k + a)
 
 
 def zagier_step(q):
     s = _stepping_isqrt(q, "zagier_step")
-    return QuadForm(*_zagier(*q, s))
+    a, b, c = q
+    # k = ceil((b + sqrt(D)) / (2a)), where (b + sqrt(D)) / (2a) is
+    # irrational, and q | (k 1; -1 0)
+    k = floor_root(b, 1, 2 * a, s) + 1
+    return QuadForm(a * k * k - b * k + c, 2 * a * k - b, a)
 
 
-def _step_cycle(q, name, step):
-    # the cycle q's orbit under step(a, b, c, isqrt(D)) runs into, stepped
-    # on int triples; QuadForms are built only for the cycle returned
-    s = _stepping_isqrt(q, name)
-    seen = {}
-    seq = []
-    cur = tuple(q)
-    while cur not in seen:
-        seen[cur] = len(seq)
-        seq.append(cur)
-        cur = step(*cur, s)
-    cycle = seq[seen[cur]:]
-    best = min(range(len(cycle)), key=lambda i: cycle[i])
-    return tuple(map(_quad_form, cycle[best:] + cycle[:best]))
+def _rotated(cycle, first):
+    # the cycle as a tuple that starts at its form `first`
+    i = cycle.index(first)
+    return tuple(cycle[i:] + cycle[:i])
+
+
+def _z_cycle(blocks):
+    # f|L = [a, b + 2a, a + b + c] for every edge f of every R block, in
+    # reverse river order
+    cycle = []
+    for letter, k, (a, b, c) in blocks:
+        if letter == "R":
+            for _ in range(k):
+                cycle.append(_quad_form((a, b + 2 * a, a + b + c)))
+                a, b = a + b + c, b + 2 * c
+    cycle.reverse()
+    return cycle
 
 
 def gauss_cycle(q):
-    """The G-reduced cycle reached from q, canonically rotated."""
-    return _step_cycle(q, "gauss_step", _gauss)
+    """The G-reduced cycle of q's class, canonically rotated; by rule 2
+    the first forms of its river's blocks in river order, each L block's
+    as its S image."""
+    _stepping_isqrt(q, "gauss_step")
+    cycle = [f if letter == "R" else _quad_form((f[2], -f[1], f[0]))
+             for letter, _, f in period_blocks(q)]
+    return _rotated(cycle, min(cycle))
 
 
 def zagier_cycle(q):
-    """The Z-reduced cycle reached from q, canonically rotated."""
-    return _step_cycle(q, "zagier_step", _zagier)
+    """The Z-reduced cycle of q's class, canonically rotated; by rule 3
+    f|L for every edge f of its river's R blocks, in reverse river order."""
+    _stepping_isqrt(q, "zagier_step")
+    cycle = _z_cycle(period_blocks(q))
+    return _rotated(cycle, min(cycle))
 
 
 def zagier_classes(D):
     """The primitive Z-reduced forms of a non-square D > 0, one Zagier cycle
     per primitive class, each in stepping order from its first form in
-    z_forms order; every form is visited once."""
+    z_forms order; every class's river is walked once."""
     forms = [q for q in z_forms(D) if q.content() == 1]
-    s = _stepping_isqrt(forms[0], "zagier_step") if forms else None
+    if forms:
+        _stepping_isqrt(forms[0], "zagier_step")
     unseen = set(forms)
     out = []
     for start in forms:
-        if start not in unseen:
-            continue
-        cycle = [start]
-        q = _zagier(*start, s)
-        while q != start:
-            cycle.append(_quad_form(q))
-            q = _zagier(*q, s)
-        unseen.difference_update(cycle)
-        out.append(tuple(cycle))
+        if start in unseen:
+            cycle = _rotated(_z_cycle(period_blocks(start)), start)
+            unseen.difference_update(cycle)
+            out.append(cycle)
     return out
 
 

@@ -8,7 +8,7 @@ from math import gcd
 from .classnum import euler_phi, h_neg, h_pos
 from .exact import DomainError, Surd, check_discriminant, is_square, isqrt
 from .forms import QuadForm, UniMat, act, turn_sequence_matrix
-from .topograph import (river_blocks, river_start, square_reduction,
+from .topograph import (period_blocks, river_blocks, square_reduction,
                         square_river_blocks)
 
 
@@ -104,16 +104,13 @@ def negative_pell(D):
     """The fundamental solution of t^2 - D u^2 = -4, if the river necklace
     factors as X followed by its letter-switched copy; None otherwise.
 
-    Read cyclically, the principal river period is B alternating blocks.
-    It has that shape exactly when B/2 is odd, so that block i and block
-    i + B/2 carry different letters, and every block i has the length of
-    block i + B/2; X is then the first B/2 blocks, and (t, u) is read off
-    its matrix and checked against the equation."""
+    The principal river period is B alternating whole blocks.  It has
+    that shape exactly when B/2 is odd, so that block i and block i + B/2
+    carry different letters, and every block i has the length of block
+    i + B/2; X is then the first B/2 blocks, and (t, u) is read off its
+    matrix and checked against the equation."""
     _check_real(D)
-    blocks = list(river_blocks(principal_form(D)).word)
-    if len(blocks) > 1 and blocks[0][0] == blocks[-1][0]:
-        letter, k = blocks.pop()
-        blocks[0] = (letter, blocks[0][1] + k)
+    blocks = [block[:2] for block in period_blocks(principal_form(D))]
     half = len(blocks) // 2
     if half % 2 == 0 or any(blocks[i][1] != blocks[i + half][1]
                             for i in range(half)):
@@ -181,12 +178,11 @@ def necklace_of(x):
     given form's class."""
     if isinstance(x, QuadForm):
         _check_real(x.discriminant())
-        anchor = river_start(x)[0]
     else:
         _check_real(x)
-        anchor = principal_form(x)
-    word = river_blocks(anchor).word
-    return Necklace("".join(("0" if c == "L" else "1") * k for c, k in word))
+        x = principal_form(x)
+    return Necklace("".join(("0" if c == "L" else "1") * k
+                            for c, k, _ in period_blocks(x)))
 
 
 def _bits_matrix(bits):

@@ -40,13 +40,12 @@ from .classnum import _AUT_WEIGHTS, euler_phi, hurwitz
 from .exact import (DomainError, Surd, check_discriminant, finite_float,
                     is_square, isqrt, surd_floor)
 from .forms import QuadForm
-from .reduce import (_primes, divisor_rows, reduce_simple_cycle,
-                     reduced_forms, z_forms, zagier_classes, zagier_cycle,
-                     zstar_forms)
+from .reduce import (_primes, divisor_rows, reduced_forms, z_forms,
+                     zagier_classes, zagier_cycle, zstar_forms)
 from .riverword import epsilon
 from .topograph import (_LABEL_MAX, EdgeCursor, _levels, ball_levels,
-                        block_step, river_blocks, river_start,
-                        square_reduction, square_river_blocks, unit_forms)
+                        block_step, find_river, period_blocks,
+                        square_reduction, square_river_blocks)
 
 # the two Poincare-series evaluations the identities rest on
 POINCARE_ALL_ONES = 3 * pi / 2
@@ -323,7 +322,6 @@ def series_pos(q, depth):
     if D <= 0 or is_square(D):
         raise DomainError("needs non-square D > 0")
     _check_depth(depth)
-    anchor, _ = river_start(q)
     sqD = math.sqrt(D)
     d32 = D ** 1.5
     d52 = D ** 2.5
@@ -331,7 +329,8 @@ def series_pos(q, depth):
     sums1 = []
     sums2 = []
     hanging = []
-    for (a, b, c), _ in unit_forms(river_blocks(anchor).word, anchor):
+    for edge in find_river(q).edges:
+        a, b, c = edge.form
         h = a + b + c
         # where the river turns R the L child hangs, and else the R child
         tree = (a, b + 2 * a, h) if h > 0 else (h, b + 2 * c, c)
@@ -466,10 +465,11 @@ def series_seed(D):
         return min((QuadForm(0, m, r) for r in range(1, m + 1)
                     if gcd(r, m) == 1),
                    key=lambda q: (_turns(square_river_blocks(q)), q.c))
-    # each class once: its least simply reduced form and its river period
-    return min((reduce_simple_cycle(cycle[0]).canonical[0]
-                for cycle in zagier_classes(D)),
-               key=lambda q: (_turns(river_blocks(q).word), q))
+    # each class's river once: its turn count and its least block start,
+    # the least simply reduced form
+    rivers = [period_blocks(cycle[0]) for cycle in zagier_classes(D)]
+    return min((sum(k for _, k, _ in river), min(f for _, _, f in river))
+               for river in rivers)[1]
 
 
 # ------------------------------------------------------- boundary integrals

@@ -3,9 +3,10 @@ kernel with BFS and dot/json export as views over it, and the integer block
 walk that reduces forms of every discriminant and locates wells and rivers.
 
 The tree is never materialized: a cursor is a form plus the turn word that
-produced it, and the level kernel holds one level at a time.  A river is
-held as its run-length blocks, built by `find_river` in O(blocks); its
-`edges` and `word` are lazy read-only sequence views over them.
+produced it, and the level kernel holds one level at a time.  One walk,
+`river_walk`, takes a form onto its river and once around it: `find_river`
+holds the river as its run-length blocks, with `edges` and `word` as lazy
+read-only sequence views over them, and `period_blocks` as whole runs.
 """
 
 import operator
@@ -390,61 +391,42 @@ def square_river_blocks(q0):
     return _to_lake((r, -m, 0), _lake(m))[0]
 
 
-@dataclass(frozen=True)
-class RootPath:
-    """The first root's continued fraction from a form to its river, in
-    whole blocks: `word` holds the nonzero (letter, k) blocks up to the first
-    block that ends on a simple form (a > 0 > c), and `form` is that form."""
+class RiverWalk(NamedTuple):
+    """`root` holds the nonzero blocks (letter, k) up to the entry
+    forms[0], the first simple form (a > 0 > c) a block ends on, and `word`
+    the river period from there, block i starting at forms[i]; the product
+    of its blocks fixes the entry."""
 
-    word: tuple
-    form: QuadForm
-
-
-def root_path(q):
-    """Walk q's first root zeta = (-b + sqrt D)/(2a) to the river: L blocks
-    of floor(zeta), R blocks of floor(1/zeta), alternately, as in its
-    continued fraction.  The number of blocks is bounded by a multiple of
-    the coefficients' bit length."""
-    D = q.discriminant()
-    if D <= 0 or is_square(D):
-        raise DomainError("the block walk needs non-square D > 0")
-    a, b, c = q
-    if a > 0 > c:
-        return RootPath((), q)
-    word, end = walk(q, "L", lambda a, b, c, letter, k: (
-        0 if a > 0 > c else None),
-        10 * (abs(a) + abs(b) + abs(c)).bit_length() + 64)
-    return RootPath(tuple(x for x in word if x[1]), QuadForm(*end))
-
-
-@dataclass(frozen=True)
-class RiverBlocks:
-    """One river period from a simple form as a run-length word: block i is
-    (letter, k), with matrix L^k = (1 k; 0 1) or R^k = (1 0; k 1), and
-    starts at the simple form forms[i]; forms[0] is the starting form and
-    the product of the blocks fixes it."""
-
+    root: tuple
     word: tuple
     forms: tuple
 
 
-def river_blocks(q0):
-    """One period of the river through the simple form q0 (a > 0 > c),
-    a whole run of equal turns per step.  From [a, b, c] the river turns L
-    floor((-b + sqrt D)/(2a)) times, or R floor((b + sqrt D)/(-2c)) times;
-    the period ends where a block passes q0 again, possibly mid-block."""
-    D = q0.discriminant()
+def river_walk(q):
+    """Walk q's first root zeta = (-b + sqrt D)/(2a) onto its river and
+    once around it, for non-square D > 0: L blocks of floor(zeta), R blocks
+    of floor(1/zeta), alternately, as in its continued fraction.  On the
+    river these are its runs of equal turns: from [a, b, c] it turns L
+    floor((-b + sqrt D)/(2a)) times, or R floor((b + sqrt D)/(-2c)) times.
+    The period ends where a block passes the entry again, possibly
+    mid-block.  A simple q is its own entry.  The root takes a number of
+    blocks bounded by a multiple of the coefficients' bit length."""
+    D = q.discriminant()
     if D <= 0 or is_square(D):
         raise DomainError("the block walk needs non-square D > 0")
-    a0, b0, c0 = q0
-    if not a0 > 0 > c0:
-        raise DomainError("the river walk starts at a simple form a > 0 > c")
-    forms = [q0]
+    forms = []  # the river blocks' first forms, from the entry on
+    a0 = b0 = c0 = None  # the entry
 
-    def passes_q0(a, b, c, letter, k):
+    def passes_entry(a, b, c, letter, k):
+        nonlocal a0, b0, c0
+        if a0 is None:  # on the root path
+            if a > 0 > c:
+                a0, b0, c0 = a, b, c
+                forms.append(_quad_form((a, b, c)))
+            return None
         # an L block keeps a and adds 2a to b at each turn, an R block keeps
-        # c and adds 2c; it passes q0 when q0 lies on that line within it,
-        # and otherwise the next block starts at [a, b, c]
+        # c and adds 2c; it passes the entry when the entry lies on that line
+        # within it, and otherwise the next block starts at [a, b, c]
         if letter == "L":
             on_line, inc = a == a0, 2 * a
         else:
@@ -456,8 +438,37 @@ def river_blocks(q0):
         forms.append(_quad_form((a, b, c)))
         return None
 
-    word, _ = walk(q0, "L" if a0 + b0 + c0 < 0 else "R", passes_q0)
-    return RiverBlocks(tuple(word), tuple(forms))
+    a, b, c = q
+    # a simple q starts with the letter it does not turn: a zero block
+    word, _ = walk(q, "R" if a > 0 > c and a + b + c < 0 else "L",
+                   passes_entry)
+    n = len(word) - len(forms)
+    return RiverWalk(tuple([x for x in word[:n] if x[1]]), tuple(word[n:]),
+                     tuple(forms))
+
+
+def river_blocks(q0):
+    """One period of the river through the simple form q0 (a > 0 > c), a
+    whole run of equal turns per step: `river_walk(q0)`, whose `word` and
+    `forms` start at q0."""
+    period = river_walk(q0)
+    if period.forms[0] != q0:
+        raise DomainError("the river walk starts at a simple form a > 0 > c")
+    return period
+
+
+def period_blocks(q):
+    """The river period of q's class, for non-square D > 0, as its whole
+    blocks (letter, k, form): runs of k equal turns from the simple form
+    `form`, in river order, each turning the other way before and after
+    it.  Where `river_walk`'s period wraps inside a run, the two parts are
+    joined."""
+    _, word, forms = river_walk(q)
+    blocks = [(letter, k, f) for (letter, k), f in zip(word, forms)]
+    if blocks[0][0] == blocks[-1][0]:
+        letter, k, f = blocks.pop()
+        blocks[0] = (letter, k + blocks[0][1], f)
+    return blocks
 
 
 class _RiverRuns(NamedTuple):
@@ -543,7 +554,9 @@ class RiverEdges(_RiverView):
     """The edges of a river, as EdgeCursors on the form before each unit
     turn and with the path to it: a read-only sequence view over its
     blocks.  Edge j of a block is the block's first form moved by j turns,
-    and its path a node of the run that ends the block."""
+    and its path a node of the run that ends the block.  Hashing the view
+    expands every edge's path turn by turn: its time is quadratic in the
+    river's length."""
 
     __slots__ = ()
 
@@ -617,40 +630,29 @@ def find_river(q):
         n = runs.offsets[-1]
         return RiverDescriptor("finite", RiverEdges(runs, 1, n),
                                RiverWord(runs, 1, n - 1))
-    anchor, path = river_start(q)
-    period = river_blocks(anchor)
-    runs = _river_runs(period.word, period.forms, path)
+    runs = _river_runs(*_from_start(q))
     return RiverDescriptor("periodic", RiverEdges(runs), RiverWord(runs))
+
+
+def _from_start(q):
+    # the river period from the first simple form on q's first root's path,
+    # as (word, forms, path to it): the entry, or, where the root's last
+    # block turned forward along the river before the entry, the first form
+    # of the period's last block, whose letter it shares
+    root, word, forms = river_walk(q)
+    path = turn_path(root)
+    if root and root[-1][1] > 0 and root[-1][0] == word[-1][0]:
+        path = TurnPath(path.prefix, path.turn, path.count - word[-1][1])
+        word, forms = word[-1:] + word[:-1], forms[-1:] + forms[:-1]
+    return word, forms, path
 
 
 def river_start(q):
     """The simple form where the river period of q starts, for non-square
     D > 0: the first simple form on q's first root's path, and the path to
     it from q."""
-    D = q.discriminant()
-    root = root_path(q)
-    path = turn_path(root.word)
-    anchor = root.form
-    if root.word and root.word[-1][1] > 0:
-        # turn j of the last block lands on a simple form exactly when j
-        # lies between the two roots of the form's values at its start
-        letter, k = root.word[-1]
-        a, b, c = block_step(anchor, letter, -k)
-        sign, r = (1, 2 * a) if letter == "L" else (-1, 2 * c)
-        back = k - max(1, floor_root(-b, -sign, r, isqrt(D)) + 1)
-        anchor = block_step(anchor, letter, -back)
-        path = TurnPath(path.prefix, path.turn, path.count - back)
-    return anchor, path
-
-
-def unit_forms(word, form):
-    """The form before every unit turn of the blocks `word` from `form`,
-    each with the letter of its turn; the blocks' counts are >= 0."""
-    a, b, c = form
-    for letter, k in word:
-        for _ in range(k):
-            yield (a, b, c), letter
-            a, b, c = _block(a, b, c, letter, 1)
+    _, forms, path = _from_start(q)
+    return forms[0], path
 
 
 _JSON_VERTEX = """\

@@ -17,7 +17,7 @@ from topoforms.riverword import (Necklace, necklace_of, negative_pell,
                                  pell_fundamental, principal_form,
                                  river_period)
 from topoforms.topograph import (EdgeCursor, TurnPath, find_river,
-                                 river_blocks, root_path, step)
+                                 river_blocks, river_walk, step)
 
 _TURNS = {
     "L": lambda a, b, c: (a, b + 2 * a, a + b + c),
@@ -229,12 +229,13 @@ def test_river_blocks_period():
 
 def test_root_path_reaches_a_simple_form():
     q = QuadForm(47, 160, 136)  # D = 96, far from the river
-    root = root_path(q)
-    assert root.form.a > 0 > root.form.c
+    walked = river_walk(q)
+    entry = walked.forms[0]
+    assert entry.a > 0 > entry.c
     m = ID
-    for letter, k in root.word:
+    for letter, k in walked.root:
         m = m @ (UniMat(1, k, 0, 1) if letter == "L" else UniMat(1, 0, k, 1))
-    assert act(q, m) == root.form
+    assert act(q, m) == entry
 
 
 def test_turn_path_is_a_tuple_of_turns():

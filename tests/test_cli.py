@@ -148,3 +148,47 @@ def test_out_of_domain_input_exits_2(capsys, argv):
     assert run(argv) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("domain error: ")
+
+
+# Gauss and Zagier cycles through the CLI: stdout recorded from the step
+# loops these methods ran on before they read the river, byte for byte
+
+_CYCLE_GOLDENS = [
+    ("1,0,-24", "gauss",
+     "discriminant 96\ncanonical [-8,8,1] [1,8,-8]\n",
+     '{"input": ["1", "0", "-24"], "discriminant": "96", "method": "gauss", '
+     '"canonical": [["-8", "8", "1"], ["1", "8", "-8"]]}\n'),
+    ("1,0,-24", "zagier",
+     "discriminant 96\ncanonical [1,10,1]\n",
+     '{"input": ["1", "0", "-24"], "discriminant": "96", "method": "zagier", '
+     '"canonical": [["1", "10", "1"]]}\n'),
+    # [2, 9, -3] moved by (3 5; 4 7)
+    ("78,261,218", "gauss",
+     "discriminant 105\ncanonical [-7,7,2] [2,9,-3] [-3,9,2] [2,7,-7]\n",
+     '{"input": ["78", "261", "218"], "discriminant": "105", '
+     '"method": "gauss", "canonical": [["-7", "7", "2"], ["2", "9", "-3"], '
+     '["-3", "9", "2"], ["2", "7", "-7"]]}\n'),
+    ("78,261,218", "zagier",
+     "discriminant 105\ncanonical [2,11,2] [8,13,2] [8,19,8] [2,13,8]\n",
+     '{"input": ["78", "261", "218"], "discriminant": "105", '
+     '"method": "zagier", "canonical": [["2", "11", "2"], ["8", "13", "2"], '
+     '["8", "19", "8"], ["2", "13", "8"]]}\n'),
+]
+
+
+@pytest.mark.parametrize("form,method,plain,js", _CYCLE_GOLDENS)
+def test_reduce_cycle_goldens(capsys, form, method, plain, js):
+    assert run(["reduce", "--form", form, "--method", method]) == 0
+    assert capsys.readouterr().out == plain
+    assert run(["reduce", "--form", form, "--method", method, "--json"]) == 0
+    assert capsys.readouterr().out == js
+
+
+@pytest.mark.parametrize("form", ["1,1,1", "1,5,6"])  # D = -3 and D = 1
+@pytest.mark.parametrize("method", ["gauss", "zagier"])
+@pytest.mark.parametrize("js", [[], ["--json"]])
+def test_reduce_cycle_domain_errors(capsys, form, method, js):
+    assert run(["reduce", "--form", form, "--method", method] + js) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"domain error: {method}_step needs non-square D > 0\n"

@@ -3,6 +3,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from topoforms.classnum import h_pos
 from topoforms.forms import QuadForm, act
 from topoforms.exact import DomainError
 from topoforms.reduce import (ReductionResult, gauss_cycle, gauss_step,
@@ -138,35 +139,45 @@ def test_gauss_zagier_cycles(a, b, c):
     D = q.discriminant()
     if D <= 0 or is_square(D):
         return
-    if q.c != 0:
-        gc = gauss_cycle(q)
-        assert all(is_g_reduced(f) for f in gc)
-        assert gc[0] == min(gc)
-    if q.a != 0:
-        zc = zagier_cycle(q)
-        assert all(is_z_reduced(f) for f in zc)
+    # non-square D > 0 forces ac != 0
+    gc = gauss_cycle(q)
+    assert all(is_g_reduced(f) for f in gc)
+    assert gc[0] == min(gc)
+    zc = zagier_cycle(q)
+    assert all(is_z_reduced(f) for f in zc)
+
+
+def _assert_partition(cycles, forms):
+    # the distinct cycles are disjoint and together hold exactly `forms`
+    union = set().union(*cycles)
+    assert sum(len(set(c)) for c in cycles) == len(union)
+    assert union == set(forms) and len(forms) == len(set(forms))
 
 
 def test_cycles_partition_reduced_forms():
-    # every G-reduced (Z-reduced) form of D appears in exactly one cycle
+    # every G-reduced (Z-reduced) form of D appears in exactly one cycle;
+    # a G-reduced form has b^2 = D + 4ac < D and |a| <= |ac| < D/4, so the
+    # ranges below hold them all
     for D in (5, 13, 60, 96, 145):
         g_all = [QuadForm(a, b, c)
                  for b in range(1, 40) for a in range(-40, 40) if a != 0
                  for c in [(b * b - D) // (4 * a)]
                  if b * b - 4 * a * c == D and is_g_reduced(QuadForm(a, b, c))]
-        seen = set()
+        g_cycles = set()
         for q in g_all:
             cyc = gauss_cycle(q)
             assert q in cyc
-            key = cyc[0]
-            seen.add(key)
+            g_cycles.add(cyc)
+        _assert_partition(g_cycles, g_all)
         z_all = z_forms(D)
-        zseen = set()
+        z_cycles = set()
         for q in z_all:
             cyc = zagier_cycle(q)
             assert q in cyc
-            assert set(cyc) <= set(z_all)
-            zseen.add(cyc[0])
+            z_cycles.add(cyc)
+        _assert_partition(z_cycles, z_all)
+        primitive = {c for c in z_cycles if c[0].content() == 1}
+        assert len(primitive) == h_pos(D)
 
 
 # --- Omega parametrization
