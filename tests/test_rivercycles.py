@@ -169,8 +169,8 @@ def test_zagier_classes_match_the_step_loop():
 
 def test_period_blocks_are_whole_runs():
     # every block is a maximal run: consecutive letters differ cyclically,
-    # each block starts where the previous one ends, and the block starts
-    # are the simply reduced forms, their G and Z images G- and Z-reduced
+    # each block starts where the previous one ends, every block start is
+    # simply reduced, and the R blocks hold one turn per Z-reduced form
     for D in _discs(400):
         for cycle in zagier_classes(D):
             blocks = period_blocks(cycle[0])
