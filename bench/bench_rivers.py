@@ -7,10 +7,13 @@ The file name keeps these out of the tier-1 test run.  `find_river`,
 `find_river` followed by reading every edge, and `reduce_simple_cycle` run
 on the principal form of D = 1003033 (a period of 5,590 unit edges),
 D = 2000133 (2,034) and D = 100000037 (71,710).  `find_river` also runs on
-[1, 2^28 + 1, -1], whose river is two blocks of 2^28 + 1 turns.  Each
-benchmark records in `extra_info` the unit edges of the period and its
-blocks, and the median time per edge and per block in microseconds.  The
-forms start on their river, so the walk to it costs nothing here.
+[1, 2^28 + 1, -1], whose river is two blocks of 2^28 + 1 turns, and on
+the square-D forms [0, F(n+1), F(n)], F the Fibonacci numbers, at n = 100
+and 300 (partial quotients all 1: a block per turn) and [0, 10^k, 1] (one
+long block).  Each benchmark records in `extra_info` the unit edges of the
+river and its blocks, and the median time per edge and per block in
+microseconds.  The forms start on their river, or are reduced square-D
+forms, so the walk to it costs nothing here.
 """
 
 import pytest
@@ -18,14 +21,27 @@ import pytest
 from topoforms.forms import QuadForm
 from topoforms.reduce import reduce_simple_cycle
 from topoforms.riverword import principal_form
-from topoforms.topograph import find_river, river_blocks
+from topoforms.exact import is_square
+from topoforms.topograph import find_river, river_blocks, square_river_blocks
 
 DISCS = [1003033, 2000133, 100000037]
 
 
+def _fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
 def _run(benchmark, fn, q):
-    word = river_blocks(q).word
-    edges = sum(k for _, k in word)
+    if is_square(q.discriminant()):
+        # the finite river's edges skip its first and last unit turns
+        word = [x for x in square_river_blocks(q).word if x[1]]
+        edges = sum(k for _, k in word) - 1
+    else:
+        word = river_blocks(q).word
+        edges = sum(k for _, k in word)
     benchmark.extra_info.update(D=q.discriminant(), edges=edges,
                                 blocks=len(word))
     out = benchmark.pedantic(fn, (q,), rounds=5, iterations=1,
@@ -46,6 +62,19 @@ def test_find_river(benchmark, D):
 def test_find_river_two_long_blocks(benchmark):
     river = _run(benchmark, find_river, QuadForm(1, 2 ** 28 + 1, -1))
     assert len(river.edges) == 2 * (2 ** 28 + 1)
+
+
+@pytest.mark.parametrize("n", [100, 300])
+def test_find_river_square_fibonacci(benchmark, n):
+    q = QuadForm(0, _fibonacci(n + 1), _fibonacci(n))
+    river = _run(benchmark, find_river, q)
+    assert len(river.edges) == benchmark.extra_info["edges"]
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_find_river_square_one_block(benchmark, k):
+    river = _run(benchmark, find_river, QuadForm(0, 10 ** k, 1))
+    assert len(river.edges) == 10 ** k - 1
 
 
 @pytest.mark.parametrize("D", DISCS)

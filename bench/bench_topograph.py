@@ -51,7 +51,7 @@ def test_bfs_vertices(benchmark, depth):
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_series_square_root_edge(benchmark, k):
     q = QuadForm(0, 10 ** k, 1)
-    blocks = square_river_blocks(square_reduction(q)[1])
+    blocks = square_river_blocks(square_reduction(q)[1]).word
     edges = sum(n for _, n in blocks) - 1
     r1, _ = _run(benchmark, series_square, q, 0, vertices=1,
                  river_edges=edges)

@@ -11,11 +11,11 @@ import sys
 
 from .classnum import (h_neg, h_pos, h_square, hstar_neg, hurwitz, r3,
                        r3_primitive, r3_via_class, r3p_via_class)
-from .exact import DomainError, finite_float, is_square
+from .exact import DomainError, Surd, finite_float, is_square
 from .forms import QuadForm
 from .reduce import (gauss_cycle, reduce_negative, reduce_simple_cycle,
                      reduce_square, zagier_cycle)
-from .riverword import (Necklace, epsilon, h1, necklace_of, negative_pell,
+from .riverword import (Necklace, h1, necklace_of, negative_pell,
                         pell_fundamental, principal_form,
                         topograph_of_necklace, topograph_of_word, word_of)
 from .series import (eisenstein_check, hurwitz_series, series_neg,
@@ -120,7 +120,7 @@ def _cmd_classnum(ns):
 def _cmd_pell(ns):
     D = ns.disc
     s = pell_fundamental(D)
-    eps = epsilon(D)
+    eps = Surd(s.t, s.u, 2, D)  # epsilon(D) would walk the river again
     doc = {"discriminant": str(D), "t": str(s.t), "u": str(s.u),
            "epsilon": f"({s.t}+{s.u}*sqrt({D}))/2",
            "epsilon_approx": finite_float(eps)}  # null beyond float range

@@ -210,21 +210,28 @@ def zagier_cycle(q):
     return _rotated(cycle, min(cycle))
 
 
+def _class_rivers(D):
+    """For each primitive class of a non-square D > 0, its river period in
+    whole blocks, walked once from the class's first Z-reduced form in
+    z_forms order, and its Zagier cycle in stepping order from that form."""
+    a, k, c = _omega(D)
+    rows = np.stack((a, 2 * a - k, c))
+    seen = set()
+    for row in map(tuple, rows[:, np.gcd.reduce(rows) == 1].T.tolist()):
+        if row not in seen:
+            start = _quad_form(row)
+            _stepping_isqrt(start, "zagier_step")
+            blocks = period_blocks(start)
+            cycle = _rotated(_z_cycle(blocks), start)
+            seen.update(cycle)
+            yield blocks, cycle
+
+
 def zagier_classes(D):
     """The primitive Z-reduced forms of a non-square D > 0, one Zagier cycle
     per primitive class, each in stepping order from its first form in
     z_forms order; every class's river is walked once."""
-    forms = [q for q in z_forms(D) if q.content() == 1]
-    if forms:
-        _stepping_isqrt(forms[0], "zagier_step")
-    unseen = set(forms)
-    out = []
-    for start in forms:
-        if start in unseen:
-            cycle = _rotated(_z_cycle(period_blocks(start)), start)
-            unseen.difference_update(cycle)
-            out.append(cycle)
-    return out
+    return [cycle for _, cycle in _class_rivers(D)]
 
 
 # ------------------------------------------------------------ divisor kernel

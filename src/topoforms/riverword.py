@@ -213,7 +213,7 @@ def word_of(q):
         raise DomainError("word_of needs a primitive form")
     if D == 1:
         return None
-    word = square_river_blocks(square_reduction(q)[1])
+    word = square_river_blocks(square_reduction(q)[1]).word
     bits = "".join(("0" if letter == "L" else "1") * k for letter, k in word)
     return bits[1:-1]
 

@@ -40,11 +40,11 @@ from .classnum import _AUT_WEIGHTS, euler_phi, hurwitz
 from .exact import (DomainError, Surd, check_discriminant, finite_float,
                     is_square, isqrt, surd_floor)
 from .forms import QuadForm
-from .reduce import (_primes, divisor_rows, reduced_forms, z_forms,
-                     zagier_classes, zagier_cycle, zstar_forms)
+from .reduce import (_primes, _class_rivers, divisor_rows, reduced_forms,
+                     z_forms, zagier_cycle, zstar_forms)
 from .riverword import epsilon
-from .topograph import (_LABEL_MAX, EdgeCursor, _levels, ball_levels,
-                        block_step, find_river, period_blocks,
+from .topograph import (_LABEL_MAX, EdgeCursor, RiverEdges, TurnPath,
+                        _levels, _river_runs, ball_levels, find_river,
                         square_reduction, square_river_blocks)
 
 # the two Poincare-series evaluations the identities rest on
@@ -322,10 +322,11 @@ def series_pos(q, depth):
     if D <= 0 or is_square(D):
         raise DomainError("needs non-square D > 0")
     _check_depth(depth)
+    try:
+        d32, d52, d92 = D ** 1.5, D ** 2.5, D ** 4.5
+    except OverflowError:
+        raise DomainError("D^(9/2) passes float range") from None
     sqD = math.sqrt(D)
-    d32 = D ** 1.5
-    d52 = D ** 2.5
-    d92 = D ** 4.5
     sums1 = []
     sums2 = []
     hanging = []
@@ -363,10 +364,6 @@ def series_pos(q, depth):
 
 
 # ------------------------------------------------------------- square sums
-
-def _turns(word):
-    return sum(k for _, k in word)
-
 
 def _hanging_term(m, m3, et):
     return m / et, m / et + m3 / (3 * et ** 3)
@@ -413,25 +410,23 @@ def series_square(q, depth):
         raise DomainError("needs square D > 0")
     _check_depth(depth)
     m = isqrt(D)
+    if finite_float(m ** 9) is None:
+        raise DomainError("m^9 = D^(9/2) passes float range")
     _, q0 = square_reduction(q)
     r = q0.c
     g0 = gcd(m, r)
     s_res = pow(r, -1, m) if m > 1 and g0 == 1 else r
-    # the root is the river's middle edge: of the n - 1 unit edges after
-    # the lake edge [r, -m, 0] = q0|S, edge (n - 1) // 2, or else the lake
-    # edge itself
-    word = square_river_blocks(q0)
-    n = _turns(word)
-    turns = 1 + (n - 1) // 2 if n > 1 else 0
-    root = QuadForm(r, -m, 0)
-    for letter, k in word:
-        root = block_step(root, letter, min(k, turns))
-        turns -= min(k, turns)
+    # the root is edge (n - 1) // 2 of the n - 1 river edges after the lake
+    # edge [r, -m, 0] = q0|S, or else that edge; n may pass len()'s range
+    _, word, forms = square_river_blocks(q0)
+    runs = _river_runs(word, forms, TurnPath())
+    n = runs.offsets[-1]
+    root = RiverEdges(runs, 1)[(n - 1) // 2] if n > 1 else EdgeCursor(forms[0])
     sums1 = []
     sums2 = []
     terms = 0
     square_terms = partial(_square_terms, m)
-    for _, level in zip(range(depth + 1), ball_levels(EdgeCursor(root))):
+    for _, level in zip(range(depth + 1), ball_levels(root)):
         t = _level_terms(square_terms, level)
         terms += t.shape[1]
         p1, p2 = _exact_parts(t)
@@ -460,16 +455,13 @@ def series_seed(D):
         return principal_form(D)
     if is_square(D):
         m = isqrt(D)
-        if m == 1:
-            return QuadForm(0, 1, 1)
-        return min((QuadForm(0, m, r) for r in range(1, m + 1)
-                    if gcd(r, m) == 1),
-                   key=lambda q: (_turns(square_river_blocks(q)), q.c))
-    # each class's river once: its turn count and its least block start,
-    # the least simply reduced form
-    rivers = [period_blocks(cycle[0]) for cycle in zagier_classes(D)]
+        return QuadForm(0, m, min(
+            (sum(k for _, k in square_river_blocks((0, m, r)).word), r)
+            for r in range(1, m + 1) if gcd(r, m) == 1)[1])
+    # the river of each class, as zagier_classes walks it: its turn count
+    # and its least block start, the least simply reduced form
     return min((sum(k for _, k, _ in river), min(f for _, _, f in river))
-               for river in rivers)[1]
+               for river, _ in _class_rivers(D))[1]
 
 
 # ------------------------------------------------------- boundary integrals

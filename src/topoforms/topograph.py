@@ -3,10 +3,12 @@ kernel with BFS and dot/json export as views over it, and the integer block
 walk that reduces forms of every discriminant and locates wells and rivers.
 
 The tree is never materialized: a cursor is a form plus the turn word that
-produced it, and the level kernel holds one level at a time.  One walk,
-`river_walk`, takes a form onto its river and once around it: `find_river`
-holds the river as its run-length blocks, with `edges` and `word` as lazy
-read-only sequence views over them, and `period_blocks` as whole runs.
+produced it, and the level kernel holds one level at a time.  A river is
+walked once, as whole blocks with their first forms: `river_walk` takes a
+form onto its river and once around it, `square_river_blocks` from lake to
+lake.  `find_river` holds either as run-length blocks, with `edges` and
+`word` as lazy read-only sequence views over them, and `period_blocks`
+gives the period as whole runs.
 """
 
 import operator
@@ -345,22 +347,37 @@ def find_well(q):
     return WellDescriptor("vertex_well", at, (b, 2 * a - b, 2 * c - b))
 
 
-def _lake(m):
-    # the legs for D = m^2 end where zeta - k = 0 leaves [a, m, 0] after an
-    # L block, or 1/zeta - k = 0 leaves the lake [0, -m, c] after an R block
-    return lambda a, b, c, letter, k: 0 if (
-        b == m and c == 0 if letter == "L" else b == -m and a == 0) else None
+class RiverWalk(NamedTuple):
+    """A river as blocks (letter, k), block i of `word` starting at
+    forms[i]: from lake to lake for square D; for non-square D > 0 the
+    period from the entry forms[0], the first simple form (a > 0 > c) a
+    block ends on, which the period fixes, after the blocks of `root`."""
+
+    root: tuple
+    word: tuple
+    forms: tuple
 
 
-def _to_lake(form, stop):
-    # one leg, the rational first root's continued fraction; an L end takes
-    # the parity rule <..., a_n> = <..., a_n - 1, 1> to end on the lake too
-    word, (a, b, c) = walk(form, "L", stop)
-    letter, k = word[-1]
-    if letter == "L":
-        word[-1:] = [("L", k - 1), ("R", 1)]
-        a, b, c = _block(*_block(a, b, c, "L", -1), "R", 1)
-    return word, (a, b, c)
+def _to_lake(form, m):
+    # one leg for D = m^2, the rational first root's continued fraction, as
+    # its blocks, their first forms (int triples) and the end form
+    forms = [form]
+
+    def lake(a, b, c, letter, k):
+        # zeta - k = 0 leaves [a, m, 0] after an L block, and 1/zeta - k = 0
+        # the lake [0, -m, c] after an R block; an L end takes the parity
+        # rule <..., a_n> = <..., a_n - 1, 1>: one turn back, then R once
+        if b == m and c == 0 if letter == "L" else b == -m and a == 0:
+            return -1 if letter == "L" else 0
+        forms.append((a, b, c))
+        return None
+
+    word, end = walk(form, "L", lake)
+    if word[-1][0] == "L":
+        forms.append(end)
+        word.append(("R", 1))
+        end = _block(*end, "R", 1)
+    return word, forms, end
 
 
 def square_reduction(q):
@@ -374,32 +391,21 @@ def square_reduction(q):
     m = isqrt(max(D, 0))
     if D <= 0 or m * m != D:
         raise DomainError("the square walk needs square D > 0")
-    stop = _lake(m)
     a, b, c = q
     word = []
     if a or b > 0:
-        word, (a, b, c) = _to_lake((a, b, c), stop)
-    back, (a, b, c) = _to_lake((-a, -b, -c), stop)
+        word, _, (a, b, c) = _to_lake((a, b, c), m)
+    back, _, (a, b, c) = _to_lake((-a, -b, -c), m)
     return word + back, QuadForm(-a, -b, -c)
 
 
 def square_river_blocks(q0):
-    """The river of the reduced square-D form q0 = [0, m, r] as blocks: the
-    leg of m/r, the first root of the lake edge [r, -m, 0] = q0|S.  Its
-    first and last unit turns cross from and onto the lakes."""
+    """The river of the reduced square-D form q0 = [0, m, r], the leg of
+    m/r from the lake edge [r, -m, 0] = q0|S, as a `RiverWalk` with no
+    root; its first and last unit turns cross from and onto the lakes."""
     _, m, r = q0
-    return _to_lake((r, -m, 0), _lake(m))[0]
-
-
-class RiverWalk(NamedTuple):
-    """`root` holds the nonzero blocks (letter, k) up to the entry
-    forms[0], the first simple form (a > 0 > c) a block ends on, and `word`
-    the river period from there, block i starting at forms[i]; the product
-    of its blocks fixes the entry."""
-
-    root: tuple
-    word: tuple
-    forms: tuple
+    word, forms, _ = _to_lake((r, -m, 0), m)
+    return RiverWalk((), tuple(word), tuple(map(_quad_form, forms)))
 
 
 def river_walk(q):
@@ -617,19 +623,13 @@ def find_river(q):
     if D <= 0:
         raise DomainError("find_river needs positive discriminant")
     if is_square(D):
-        # the river runs from the lake edge [r, -m, 0] = [0, m, r]|S to the
-        # right lake; its first and last unit turns cross from and onto the
-        # lakes, and the edges are the forms after every turn but the last
+        # the edges of the river from the lake edge [0, m, r]|S are the forms
+        # after every unit turn but the last, which crosses onto the lake
         steps, q0 = square_reduction(q)
-        _, m, r = q0
-        word = square_river_blocks(q0)
-        forms = [QuadForm(r, -m, 0)]
-        for letter, k in word[:-1]:
-            forms.append(block_step(forms[-1], letter, k))
+        _, word, forms = square_river_blocks(q0)
         runs = _river_runs(word, forms, turn_path(steps).then("S"))
-        n = runs.offsets[-1]
-        return RiverDescriptor("finite", RiverEdges(runs, 1, n),
-                               RiverWord(runs, 1, n - 1))
+        return RiverDescriptor("finite", RiverEdges(runs, 1),
+                               RiverWord(runs, 1, runs.offsets[-1] - 1))
     runs = _river_runs(*_from_start(q))
     return RiverDescriptor("periodic", RiverEdges(runs), RiverWord(runs))
 

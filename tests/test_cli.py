@@ -59,6 +59,7 @@ def test_classnum(capsys):
 def test_pell(capsys):
     doc = _json_out(capsys, ["pell", "--disc", "145", "--json"])
     assert (doc["t"], doc["u"]) == ("578", "48")
+    assert doc["epsilon_approx"] == pytest.approx(289 + 24 * 145 ** 0.5)
     assert (doc["t_star"], doc["u_star"]) == ("24", "2")
     doc = _json_out(capsys, ["pell", "--disc", "96", "--json"])
     assert "t_star" not in doc

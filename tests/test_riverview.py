@@ -47,7 +47,8 @@ def ref_find_river(q):
     if is_square(q.discriminant()):
         steps, q0 = square_reduction(q)
         _, m, r = q0
-        edges, letters = ref_unit_edges(square_river_blocks(q0), (r, -m, 0),
+        edges, letters = ref_unit_edges(square_river_blocks(q0).word,
+                                        (r, -m, 0),
                                         turn_path(steps).then("S"))
         return "finite", tuple(edges[1:]), tuple(letters[1:-1])
     anchor, path = river_start(q)
