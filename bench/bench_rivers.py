@@ -18,10 +18,10 @@ forms, so the walk to it costs nothing here.
 
 import pytest
 
+from topoforms.exact import is_square
 from topoforms.forms import QuadForm
 from topoforms.reduce import reduce_simple_cycle
 from topoforms.riverword import principal_form
-from topoforms.exact import is_square
 from topoforms.topograph import find_river, river_blocks, square_river_blocks
 
 DISCS = [1003033, 2000133, 100000037]

@@ -96,9 +96,9 @@ def _alternating(n):
 
 
 def test_river_sums_refuse_d92_past_float_range():
-    # D^(9/2) leaves float range at D = 2^227.56; on this family the terms
-    # 1/|p|^3 leave it first, from about D = 2^222 on, so the form that
-    # returns lies further below
+    # D^(9/2) leaves float range at D = 2^227.56; on this family the depth-1
+    # terms 1/|p|^3 leave it first, from about D = 2^222 on, so the form
+    # that returns lies further below
     q = _alternating(156)
     assert 2 ** 218 < q.discriminant() < 2 ** 219
     r1, r2 = series_pos(q, 1)
