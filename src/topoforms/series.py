@@ -3,15 +3,15 @@ vertex sums (targets 4*pi and 24*pi), the river sums (target 2 log eps_D),
 the square-discriminant sums with the W1/W2 boundary integrals, the Hurwitz
 series, exact root products, and the discriminant-zero Eisenstein check.
 
-Every vertex sum runs on the level kernel of `topograph`, which yields each
-level of a topograph as the edge forms (a, b, c) in numpy arrays, each
-parent's L child (a, b+2a, a+b+c) just before its R child (a+b+c, b+2c, c);
-the river sums read their river in whole blocks.  Each term equals its
-value on Python integers, bit for bit:
+Every vertex sum runs on the batch walker of `topograph`: the edge forms
+(a, b, c) of a topograph's levels in numpy arrays, in batches of at most
+_CHUNK edges, the shallow levels whole and the deep ones as whole subtrees,
+each edge with its group; the river sums read their river in whole blocks.
+Each term equals its value on Python integers, bit for bit:
 
-- labels are exact integers: int64 while every label of a level is below
-  2^58, so that every sum a term takes stays inside int64, and Python ints
-  in object arrays from the first level that reaches it;
+- labels are exact integers: int64 while every label of a piece of a level
+  is below 2^58, so that every sum a term takes stays inside int64, and
+  Python ints from the first level of the piece that reaches it;
 - a term's denominator p, a product of three labels, is rounded to fl(p)
   once.  In float64 that holds where the product of two factors and the
   third factor are both below 2^53; every other term is evaluated on
@@ -22,9 +22,9 @@ value on Python integers, bit for bit:
   on Python ints; within 1/16 ulp of one, the power is Python's own pow.
   Farther away the platform pow is correctly rounded if its error is below
   0.5625 ulp (glibc bounds it by 0.54 ulp);
-- each sum is one math.fsum over a fixed group of terms: a level for the
-  definite and square sums, a hanging tree for the river sums.  fsum is
-  correctly rounded, so a group's value depends only on its terms.
+- each sum is one math.fsum over a fixed group of terms (a level, or a
+  hanging tree for the river sums), of parts with the group's exact sum
+  (_exact_parts); fsum is correctly rounded, so batches change no bit.
 """
 
 import json
@@ -44,8 +44,8 @@ from .reduce import (_primes, _class_rivers, divisor_rows, reduced_forms,
                      z_forms, zagier_cycle, zstar_forms)
 from .riverword import epsilon
 from .topograph import (_LABEL_MAX, EdgeCursor, RiverEdges, TurnPath,
-                        _levels, _river_runs, ball_levels, find_river,
-                        square_reduction, square_river_blocks)
+                        _batches, _levels, _river_runs, ball_levels,
+                        find_river, square_reduction, square_river_blocks)
 
 # the two Poincare-series evaluations the identities rest on
 POINCARE_ALL_ONES = 3 * pi / 2
@@ -87,17 +87,7 @@ _EXACT = 2.0 ** 53  # integers below this are exact in float64
 _POW_MARGIN = 1 / 16  # ulps from a rounding boundary where pow may differ
 _EXPONENT = np.int64(0x7FF0000000000000)  # exponent bits of a float64
 _FRACTION = np.int64(0x000FFFFFFFFFFFFF)  # fraction bits of a float64
-_CHUNK = 1 << 13  # edges per call of a term function, to stay in cache
-
-
-def _level_terms(terms, level):
-    """terms(a, b, c), a (2, n) array of two terms per edge, over a level,
-    _CHUNK edges at a time."""
-    n = len(level[0])
-    if n <= _CHUNK:
-        return terms(*level)
-    return np.hstack([terms(*(x[i:i + _CHUNK] for x in level))
-                      for i in range(0, n, _CHUNK)])
+_CHUNK = 1 << 13  # edges per batch of the kernel, to stay in cache
 
 
 def _by_ints(mask, out, term, *cols):
@@ -105,37 +95,61 @@ def _by_ints(mask, out, term, *cols):
     the values of `term` on the columns' entries as Python ints."""
     idx = np.flatnonzero(mask)
     if idx.size:
-        out[:, idx] = np.array([term(*args) for args in
-                                zip(*(col[idx].tolist() for col in cols))]).T
+        try:
+            out[:, idx] = np.array([term(*args) for args in zip(
+                *(col[idx].tolist() for col in cols))]).T
+        except OverflowError:
+            raise DomainError("a term passes float range") from None
 
 
-def _exact_parts(t):
-    """For each row of the 2-D float array t, floats whose exact sum is the
-    row's exact sum, so that math.fsum of them is math.fsum of the row.  In
-    slices of at most _CHUNK columns, every entry is n 2^(e-53) with an
-    integer |n| < 2^53, split into n >> 26 and n mod 2^26; their sums per
-    row and exponent stay exact integers below 2^41, and scaled by 2^(e-53)
-    and 2^(e-27) they stay exact floats."""
+def _exact_parts(t, g=0, parts=None):
+    """Append to parts[row + rows * group] (one list per row by default)
+    floats that sum exactly to the row's entries in the group's columns,
+    for the 2-D float array t of at most 2^26 columns and the group g[j] of
+    each column j (0 by default).  Each entry is (h + l) 2^(e-27), h an
+    integer of 27 bits and l a multiple of 2^-26 in [0, 1): their sums per
+    row, group and exponent stay exact, scaled too."""
     rows, n = t.shape
-    if n < 256:
-        return t.tolist()
-    out = [[] for _ in range(rows)]
-    step = max(256, _CHUNK // rows)
-    for j in range(0, n, step):
-        m, e = np.frexp(t[:, j:j + step])
-        mant = (m * _EXACT).astype(np.int64)
-        emin = int(e.min())
-        span = int(e.max()) - emin + 1
-        # one bucket per row and exponent
-        idx = (e - emin + span * np.arange(rows)[:, None]).reshape(-1)
-        scale = np.arange(emin - 53, emin - 53 + span)
-        for shift, part in ((26, mant >> 26), (0, mant & 0x3FFFFFF)):
-            sums = np.bincount(idx, part.reshape(-1).astype(float),
-                               rows * span)
-            for acc, row in zip(out, np.ldexp(sums.reshape(rows, span),
-                                              scale + shift).tolist()):
-                acc += row
-    return out
+    g = np.broadcast_to(g, n)
+    parts = [[] for _ in range(rows)] if parts is None else parts
+    if n < 256:  # a few columns are their own parts
+        for key, v in zip((g * rows + np.arange(rows)[:, None]).flat, t.flat):
+            parts[key].append(v)
+        return parts
+    m, e = np.frexp(t)
+    m *= 2.0 ** 27
+    h = np.floor(m)
+    m -= h
+    gmin = int(g.min())
+    keys = rows * (int(g.max()) - gmin + 1)
+    emin = int(e.min())
+    span = int(e.max()) - emin + 1
+    # one bucket per row, group and exponent; only the nonzero are kept
+    idx = (g * (rows * span) + e + (np.arange(rows) * span - emin
+                                    - gmin * rows * span)[:, None]).reshape(-1)
+    sums = np.stack([np.bincount(idx, w.reshape(-1), keys * span)
+                     for w in (h, m)], -1).reshape(keys, 2 * span)
+    sums = np.ldexp(sums, np.arange(emin - 27, emin - 27 + span).repeat(2))
+    nz = sums != 0
+    vals = sums[nz].tolist()
+    ends = np.cumsum(nz.sum(1)).tolist()
+    for key, i, j in zip(range(rows * gmin, rows * gmin + keys),
+                         [0] + ends, ends):
+        parts[key] += vals[i:j]
+    return parts
+
+
+def _group_sums(terms, levels, depth, groups, trees=False):
+    """The fsums of the rows of terms(a, b, c) per group of _batches(levels,
+    depth), and the count of vertices with terms (a first term > 0)."""
+    parts = [[] for _ in range(2 * groups)]
+    n = 0
+    for g, *labels in _batches(levels, depth, _CHUNK, trees):
+        t = terms(*labels)
+        _exact_parts(t, g, parts)
+        n += int(np.count_nonzero(t[0]))
+    sums = [fsum(p) for p in parts]
+    return sums[0::2], sums[1::2], n
 
 
 def _halves(x):
@@ -248,20 +262,12 @@ def _neg_scan(q, checkpoints):
     _check_depth(min(checkpoints))
     if q.a < 0:
         q = -q
-    want = set(checkpoints)
-    level1 = []
-    level2 = []
-    out = {}
-    terms = 0
-    for depth, level in zip(range(max(checkpoints) + 1),
-                            ball_levels(EdgeCursor(q))):
-        p1, p2 = _exact_parts(_level_terms(_definite_terms, level))
-        terms += len(level[0])
-        level1.append(fsum(p1))
-        level2.append(fsum(p2))
-        if depth in want:
-            out[depth] = (fsum(level1), fsum(level2), terms)
-    return out
+    top = max(checkpoints)
+    s1, s2, _ = _group_sums(_definite_terms, ball_levels(EdgeCursor(q)),
+                            top, top + 1)
+    # the ball to depth d has 3 2^d - 2 vertices, each with terms
+    return {d: (fsum(s1[:d + 1]), fsum(s2[:d + 1]), 3 * 2 ** d - 2)
+            for d in sorted(set(checkpoints))}
 
 
 def series_neg(q, depth):
@@ -339,27 +345,17 @@ def series_pos(q, depth):
         sums1.append(sqD / et)
         sums2.append(sqD / et + d32 / (3 * et ** 3))
         hanging.append(tree)
-    # all hanging trees in one frontier, tree-major: tree i is row i of
-    # every level; `depth` counts edges beyond the hanging edge, so depth 0
-    # already includes the hanging tree's head vertex
-    k = len(hanging)
-    terms = k
-    tree_terms = partial(_tree_terms, (d32, d52, d92))
-    # parts of the first term of tree 0, ..., tree k-1, then of the second
-    parts = [[] for _ in range(2 * k)]
-    for _, level in zip(range(depth + 1), _levels(*zip(*hanging))):
-        t = _level_terms(tree_terms, level).reshape(2 * k, -1)
-        for acc, row in zip(parts, _exact_parts(t)):
-            acc += row
-        terms += len(level[0])
-    sums1 += [fsum(p) for p in parts[:k]]
-    sums2 += [fsum(p) for p in parts[k:]]
+    # the hanging trees as one forest, a group each; `depth` counts edges
+    # beyond the hanging edge, so depth 0 has the tree's head vertex
+    s1, s2, n = _group_sums(partial(_tree_terms, (d32, d52, d92)),
+                            _levels(*zip(*hanging)), depth, len(hanging), True)
+    terms = len(hanging) + n
     # eps_D passes float range on long rivers; math.log takes its floor,
     # an integer within 1 of it, at any size
     eps = epsilon(D)
     target = 2 * log(finite_float(eps) or surd_floor(eps))
-    r1 = SeriesReport("mt", D, depth, fsum(sums1), target, terms)
-    r2 = SeriesReport("mt2", D, depth, fsum(sums2), target, terms)
+    r1 = SeriesReport("mt", D, depth, fsum(sums1 + s1), target, terms)
+    r2 = SeriesReport("mt2", D, depth, fsum(sums2 + s2), target, terms)
     return r1, r2
 
 
@@ -371,15 +367,22 @@ def _hanging_term(m, m3, et):
 
 def _square_terms(m, a, b, c):
     """The square sums' terms at the head vertex (r1, r2, r3) = (a, c, h),
-    h = a+b+c, of each edge (a, b, c).  A lake vertex (a zero label) has
-    none.  A river vertex (labels of both signs) counts only its hanging
-    edge et, with the river edges relabeled by sqrt(D) = m.  Any other
-    vertex counts the edge term of e, f, g = r2+r3-r1, r1+r3-r2, r1+r2-r3."""
+    h = a+b+c, of each edge (a, b, c), 0 at a lake vertex (a zero label).
+    A river vertex (labels of both signs) counts only its hanging edge et,
+    with the river edges relabeled by sqrt(D) = m.  Any other vertex counts
+    the edge term of e, f, g = r2+r3-r1, r1+r3-r2, r1+r2-r3."""
     m3 = float(m ** 3)
     r = (a, c, a + b + c)
     lake = (r[0] == 0) | (r[1] == 0) | (r[2] == 0)
     neg = sum((x < 0).astype(np.int64) for x in r)
-    river = ~lake & (neg % 3 != 0)
+    river = np.flatnonzero(~lake & (neg % 3 != 0))
+    # the edge term on labels 1 at the few lake and river vertices
+    y1, y2, y3 = (np.where(lake | (neg % 3 != 0), 1, x) for x in r)
+    e = y2 + y3 - y1
+    f = y1 + y3 - y2
+    g = y1 + y2 - y3
+    t = _edge_terms(e, f, g, e + f + g, (m3, float(m ** 5), float(m ** 9)))
+    t[:, np.flatnonzero(lake)] = 0.0
     x1, x2, x3 = (x[river] for x in r)
     # the odd one out: the only negative label, or the only positive one
     odd = np.where(neg[river] == 1, np.minimum(np.minimum(x1, x2), x3),
@@ -394,12 +397,8 @@ def _square_terms(m, a, b, c):
         u[1] = u[0] + m3 / (3 * x * x * x)
         slow = et >= 1 << 25
     _by_ints(slow, u, partial(_hanging_term, m, m3), et)
-    y1, y2, y3 = (x[~lake & (neg % 3 == 0)] for x in r)
-    e = y2 + y3 - y1
-    f = y1 + y3 - y2
-    g = y1 + y2 - y3
-    v = _edge_terms(e, f, g, e + f + g, (m3, float(m ** 5), float(m ** 9)))
-    return np.hstack((u, v))
+    t[:, river] = u
+    return t
 
 
 def series_square(q, depth):
@@ -422,16 +421,8 @@ def series_square(q, depth):
     runs = _river_runs(word, forms, TurnPath())
     n = runs.offsets[-1]
     root = RiverEdges(runs, 1)[(n - 1) // 2] if n > 1 else EdgeCursor(forms[0])
-    sums1 = []
-    sums2 = []
-    terms = 0
-    square_terms = partial(_square_terms, m)
-    for _, level in zip(range(depth + 1), ball_levels(root)):
-        t = _level_terms(square_terms, level)
-        terms += t.shape[1]
-        p1, p2 = _exact_parts(t)
-        sums1.append(fsum(p1))
-        sums2.append(fsum(p2))
+    sums1, sums2, terms = _group_sums(partial(_square_terms, m),
+                                      ball_levels(root), depth, depth + 1)
     v1 = fsum(sums1) + W1(r / m) + W1(s_res / m)
     v2 = fsum(sums2) + (W2(r / m) + W2(s_res / m) + 1) / 3
     if m == 1:
@@ -657,8 +648,8 @@ def square_log_identity(m, bmax=80000):
     # |b| odd like m, 2048 values at a time, which bounds the memory
     for lo in range(m + 2, bmax + 1, 4096):
         b, a, c = divisor_rows(D, lo, min(lo + 4096, bmax + 1))
-        for i in range(0, len(b), 4 * _CHUNK):
-            rows = (x[i:i + 4 * _CHUNK] for x in (b, a, c))
+        for i in range(0, len(b), _CHUNK):
+            rows = (x[i:i + _CHUNK] for x in (b, a, c))
             parts += chain(*_exact_parts(_square_log_terms(m, primes, *rows)))
     rhs = fsum(parts) + s2 + s3
     return lhs, rhs

@@ -174,12 +174,11 @@ def _interleave(x, y):
 
 
 def _levels(a, b, c):
-    """The topograph below the edges (a, b, c), given as lists of ints,
-    level by level: each level is three label arrays of edge forms, every
-    parent's L child (a, b+2a, a+b+c) just before its R child
-    (a+b+c, b+2c, c), so each starting edge's subtree is one contiguous
-    run of every level."""
-    a, b, c = _labels(a, b, c)
+    """The levels below the edges (a, b, c), lists of ints or label arrays:
+    each parent's L child (a, b+2a, a+b+c) just before its R child
+    (a+b+c, b+2c, c), so each edge's subtree is a run of every level."""
+    if not isinstance(a, np.ndarray):
+        a, b, c = _labels(a, b, c)
     while True:
         yield a, b, c
         # below 3 * 2^58 in magnitude from int64 parents: no wraparound
@@ -203,6 +202,31 @@ def ball_levels(root):
     t = a - b + c
     yield _labels([a], [-b], [c])
     yield from _levels([a, c, t], [b, -b + 2 * c, -b + 2 * a], [c, t, a])
+
+
+def _batches(levels, depth, size, trees=False, first=0, start=0):
+    """Levels `first` to `depth` of the forest the iterator `levels` yields,
+    in batches (g, a, b, c) of at most `size` edges, g each edge's level or,
+    with `trees` (a forest of _levels), its root's index in level 0.  The
+    shallow levels come whole in one batch; a level that does not fit, in
+    slices of `size` edges, each walked the same way below it, depth-first.
+    No batch mixes int64 labels and Python ints."""
+    runs = []
+    for level, (a, b, c) in zip(range(first, depth + 1), levels):
+        if (sum(len(r[1]) for r in runs) + len(a) > size
+                or runs and a.dtype != runs[0][1].dtype):
+            break
+        i = start << level - first  # the index of the run's first edge
+        runs.append((np.arange(i, i + len(a)) >> level if trees
+                     else np.full(len(a), level), a, b, c))
+    if runs:
+        yield tuple(map(np.concatenate, zip(*runs)))
+    if first + len(runs) > depth:
+        return
+    for i in range(0, len(a), size):
+        yield from _batches(_levels(a[i:i + size], b[i:i + size],
+                                    c[i:i + size]), depth, size, trees,
+                            level, (start << level - first) + i)
 
 
 def _ball(root, max_depth):
