@@ -5,13 +5,13 @@ series, exact root products, and the discriminant-zero Eisenstein check.
 
 Every vertex sum runs on the batch walker of `topograph`: the edge forms
 (a, b, c) of a topograph's levels in numpy arrays, in batches of at most
-_CHUNK edges, the shallow levels whole and the deep ones as whole subtrees,
-each edge with its group; the river sums read their river in whole blocks.
-Each term equals its value on Python integers, bit for bit:
+_CHUNK edges, the shallow levels whole and the deep ones in depth-first
+slices, each edge with its group; the river sums read their river in
+whole blocks.  Each term equals its value on Python integers, bit for bit:
 
-- labels are exact integers: int64 while every label of a piece of a level
+- labels are exact integers: int64 while every label of a slice of a level
   is below 2^58, so that every sum a term takes stays inside int64, and
-  Python ints from the first level of the piece that reaches it;
+  Python ints from the first level of the slice that reaches it;
 - a term's denominator p, a product of three labels, is rounded to fl(p)
   once.  In float64 that holds where the product of two factors and the
   third factor are both below 2^53; every other term is evaluated on
