@@ -10,10 +10,14 @@ D = 2000133 (2,034) and D = 100000037 (71,710).  `find_river` also runs on
 [1, 2^28 + 1, -1], whose river is two blocks of 2^28 + 1 turns, and on
 the square-D forms [0, F(n+1), F(n)], F the Fibonacci numbers, at n = 100
 and 300 (partial quotients all 1: a block per turn) and [0, 10^k, 1] (one
-long block).  Each benchmark records in `extra_info` the unit edges of the
-river and its blocks, and the median time per edge and per block in
-microseconds.  The forms start on their river, or are reduced square-D
-forms, so the walk to it costs nothing here.
+long block).  The river readers `pell_fundamental`, `negative_pell`,
+`necklace_of` and `symmetry` run on the same three principal forms and on
+[1, n, -1] for n = 10^3, 10^4 and 10^5, whose river is two blocks of n
+turns: the Pell readers on the form's D, whose principal class it is.
+Each benchmark records in `extra_info` the unit edges of the river, or its
+turns for the readers, and its blocks, and the median time per edge (or
+turn) and per block in microseconds.  The forms start on their river, or
+are reduced square-D forms, so the walk to it costs nothing here.
 """
 
 import pytest
@@ -21,10 +25,20 @@ import pytest
 from topoforms.exact import is_square
 from topoforms.forms import QuadForm
 from topoforms.reduce import reduce_simple_cycle
-from topoforms.riverword import principal_form
-from topoforms.topograph import find_river, river_blocks, square_river_blocks
+from topoforms.riverword import (necklace_of, negative_pell,
+                                  pell_fundamental, principal_form, symmetry)
+from topoforms.topograph import find_river, river_walk, square_river_blocks
 
 DISCS = [1003033, 2000133, 100000037]
+READERS = {
+    "pell_fundamental": lambda q: pell_fundamental(q.discriminant()),
+    "negative_pell": lambda q: negative_pell(q.discriminant()),
+    "necklace_of": necklace_of,
+    "symmetry": symmetry,
+}
+READER_FORMS = ([pytest.param(principal_form(D), id=f"D{D}") for D in DISCS]
+                + [pytest.param(QuadForm(1, 10 ** k, -1), id=f"n1e{k}")
+                   for k in (3, 4, 5)])
 
 
 def _fibonacci(n):
@@ -34,22 +48,22 @@ def _fibonacci(n):
     return a
 
 
-def _run(benchmark, fn, q):
+def _run(benchmark, fn, q, unit="edge"):
     if is_square(q.discriminant()):
         # the finite river's edges skip its first and last unit turns
         word = [x for x in square_river_blocks(q).word if x[1]]
-        edges = sum(k for _, k in word) - 1
+        n = sum(k for _, k in word) - 1
     else:
-        word = river_blocks(q).word
-        edges = sum(k for _, k in word)
-    benchmark.extra_info.update(D=q.discriminant(), edges=edges,
-                                blocks=len(word))
+        word = river_walk(q).word
+        n = sum(k for _, k in word)
+    benchmark.extra_info.update({"D": q.discriminant(), unit + "s": n,
+                                 "blocks": len(word)})
     out = benchmark.pedantic(fn, (q,), rounds=5, iterations=1,
                              warmup_rounds=1)
     if benchmark.stats:  # None under --benchmark-disable
         us = benchmark.stats.stats.median * 1e6
-        benchmark.extra_info.update(us_per_edge=us / edges,
-                                    us_per_block=us / len(word))
+        benchmark.extra_info.update({"us_per_" + unit: us / n,
+                                     "us_per_block": us / len(word)})
     return out
 
 
@@ -88,3 +102,10 @@ def test_find_river_every_edge(benchmark, D):
 def test_reduce_simple_cycle(benchmark, D):
     res = _run(benchmark, reduce_simple_cycle, principal_form(D))
     assert res.canonical
+
+
+@pytest.mark.parametrize("q", READER_FORMS)
+@pytest.mark.parametrize("reader", READERS)
+def test_river_reader(benchmark, reader, q):
+    out = _run(benchmark, READERS[reader], q, "turn")
+    assert out is not None or reader == "negative_pell"

@@ -8,7 +8,7 @@ from math import gcd
 from .classnum import euler_phi, h_neg, h_pos
 from .exact import DomainError, Surd, check_discriminant, is_square, isqrt
 from .forms import QuadForm, UniMat, act, turn_sequence_matrix
-from .topograph import (period_blocks, river_blocks, square_reduction,
+from .topograph import (period_blocks, river_walk, square_reduction,
                         square_river_blocks)
 
 
@@ -85,7 +85,7 @@ def river_period(D):
     """One period of the principal river as a run-length word plus its
     matrix product M = L^a0 R^a1 ..."""
     _check_real(D)
-    word = river_blocks(principal_form(D)).word
+    word = river_walk(principal_form(D)).word
     return list(word), turn_sequence_matrix(word)
 
 

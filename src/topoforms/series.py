@@ -43,9 +43,9 @@ from .forms import QuadForm
 from .reduce import (_primes, _class_rivers, divisor_rows, reduced_forms,
                      z_forms, zagier_cycle, zstar_forms)
 from .riverword import epsilon
-from .topograph import (_LABEL_MAX, EdgeCursor, RiverEdges, TurnPath,
-                        _batches, _levels, _river_runs, ball_levels,
-                        find_river, square_reduction, square_river_blocks)
+from .topograph import (_LABEL_MAX, EdgeCursor, _batches, _levels,
+                        ball_levels, find_river, square_reduction,
+                        square_river_blocks)
 
 # the two Poincare-series evaluations the identities rest on
 POINCARE_ALL_ONES = 3 * pi / 2
@@ -415,12 +415,10 @@ def series_square(q, depth):
     r = q0.c
     g0 = gcd(m, r)
     s_res = pow(r, -1, m) if m > 1 and g0 == 1 else r
-    # the root is edge (n - 1) // 2 of the n - 1 river edges after the lake
-    # edge [r, -m, 0] = q0|S, or else that edge; n may pass len()'s range
-    _, word, forms = square_river_blocks(q0)
-    runs = _river_runs(word, forms, TurnPath())
-    n = runs.offsets[-1]
-    root = RiverEdges(runs, 1)[(n - 1) // 2] if n > 1 else EdgeCursor(forms[0])
+    # the middle river edge after the lake edge [r, -m, 0] = q0|S, or else
+    # that edge; the river may have more turns than len() can count
+    edges = find_river(q).edges
+    root = edges[edges.turns // 2] if edges else EdgeCursor(QuadForm(r, -m, 0))
     sums1, sums2, terms = _group_sums(partial(_square_terms, m),
                                       ball_levels(root), depth, depth + 1)
     v1 = fsum(sums1) + W1(r / m) + W1(s_res / m)

@@ -4,11 +4,11 @@ walk that reduces forms of every discriminant and locates wells and rivers.
 
 The tree is never materialized: a cursor is a form plus the turn word that
 produced it, and the level kernel holds one level at a time.  A river is
-walked once, as whole blocks with their first forms: `river_walk` takes a
-form onto its river and once around it, `square_river_blocks` from lake to
-lake.  `find_river` holds either as run-length blocks, with `edges` and
-`word` as lazy read-only sequence views over them, and `period_blocks`
-gives the period as whole runs.
+walked once, as a `RiverWalk` of whole blocks with their first forms:
+`river_walk` takes a form onto its river and once around it,
+`square_river_blocks` from lake to lake.  Readers take that walk, or
+`find_river`'s lazy read-only views `edges` and `word` over its blocks,
+which count their items in `turns`; `period_blocks` joins its whole runs.
 """
 
 import operator
@@ -115,7 +115,7 @@ class RiverDescriptor:
     `word` (the L/R letter taken along each edge) are read-only sequence
     views over the river's run-length blocks: building one is O(blocks),
     an index is O(log blocks), and each compares and hashes equal to the
-    tuple of its items."""
+    tuple of its items.  `turns` counts them past len()'s 2^63 - 1."""
 
     kind: str
     edges: "RiverEdges"
@@ -375,7 +375,8 @@ class RiverWalk(NamedTuple):
     """A river as blocks (letter, k), block i of `word` starting at
     forms[i]: from lake to lake for square D; for non-square D > 0 the
     period from the entry forms[0], the first simple form (a > 0 > c) a
-    block ends on, which the period fixes, after the blocks of `root`."""
+    block ends on, which the period fixes, after the blocks of `root`.
+    It is the one river object, which every river reader takes as walked."""
 
     root: tuple
     word: tuple
@@ -477,16 +478,6 @@ def river_walk(q):
                      tuple(forms))
 
 
-def river_blocks(q0):
-    """One period of the river through the simple form q0 (a > 0 > c), a
-    whole run of equal turns per step: `river_walk(q0)`, whose `word` and
-    `forms` start at q0."""
-    period = river_walk(q0)
-    if period.forms[0] != q0:
-        raise DomainError("the river walk starts at a simple form a > 0 > c")
-    return period
-
-
 def period_blocks(q):
     """The river period of q's class, for non-square D > 0, as its whole
     blocks (letter, k, form): runs of k equal turns from the simple form
@@ -535,6 +526,14 @@ class _RiverView(Sequence):
         self._len = max((runs.offsets[-1] if hi is None else hi) - lo, 0)
 
     def __len__(self):
+        return self._len
+
+    def __bool__(self):
+        return self._len > 0
+
+    @property
+    def turns(self):
+        """The number of items, a Python int: len() cannot pass 2^63 - 1."""
         return self._len
 
     def _spans(self):
@@ -640,9 +639,10 @@ class RiverWord(_RiverView):
 
 
 def find_river(q):
-    """Locate the river: one full period for non-square D>0, or the whole
-    lake-to-lake stretch for square D.  Every edge's path replays from q.
-    Only the river's blocks are built, in O(blocks) time and memory."""
+    """Locate the river, as views over the blocks of its one walk: a period
+    of `river_walk(q)` for non-square D>0, or `square_river_blocks` from
+    lake to lake for square D.  Every edge's path replays from q, and only
+    the river's blocks are built, in O(blocks) time and memory."""
     D = q.discriminant()
     if D <= 0:
         raise DomainError("find_river needs positive discriminant")
@@ -654,29 +654,16 @@ def find_river(q):
         runs = _river_runs(word, forms, turn_path(steps).then("S"))
         return RiverDescriptor("finite", RiverEdges(runs, 1),
                                RiverWord(runs, 1, runs.offsets[-1] - 1))
-    runs = _river_runs(*_from_start(q))
-    return RiverDescriptor("periodic", RiverEdges(runs), RiverWord(runs))
-
-
-def _from_start(q):
-    # the river period from the first simple form on q's first root's path,
-    # as (word, forms, path to it): the entry, or, where the root's last
-    # block turned forward along the river before the entry, the first form
-    # of the period's last block, whose letter it shares
+    # the period from the first simple form on q's first root's path: the
+    # entry, or, where the root's last block turned forward with the letter
+    # of the period's last block, that block's first form
     root, word, forms = river_walk(q)
     path = turn_path(root)
     if root and root[-1][1] > 0 and root[-1][0] == word[-1][0]:
         path = TurnPath(path.prefix, path.turn, path.count - word[-1][1])
         word, forms = word[-1:] + word[:-1], forms[-1:] + forms[:-1]
-    return word, forms, path
-
-
-def river_start(q):
-    """The simple form where the river period of q starts, for non-square
-    D > 0: the first simple form on q's first root's path, and the path to
-    it from q."""
-    _, forms, path = _from_start(q)
-    return forms[0], path
+    runs = _river_runs(word, forms, path)
+    return RiverDescriptor("periodic", RiverEdges(runs), RiverWord(runs))
 
 
 _JSON_VERTEX = """\

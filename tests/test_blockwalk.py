@@ -17,7 +17,7 @@ from topoforms.riverword import (Necklace, necklace_of, negative_pell,
                                  pell_fundamental, principal_form,
                                  river_period)
 from topoforms.topograph import (EdgeCursor, TurnPath, find_river,
-                                 river_blocks, river_walk, step)
+                                 river_walk, step)
 
 _TURNS = {
     "L": lambda a, b, c: (a, b + 2 * a, a + b + c),
@@ -218,8 +218,9 @@ def test_units_match_reference_small_discriminants():
 
 # ------------------------------------------------------------- the engine
 
-def test_river_blocks_period():
-    period = river_blocks(QuadForm(1, 0, -24))  # D = 96
+def test_river_walk_period():
+    period = river_walk(QuadForm(1, 0, -24))  # D = 96
+    assert period.root == ()
     assert period.word == (("L", 4), ("R", 1), ("L", 4))
     assert period.forms[0] == QuadForm(1, 0, -24)
     assert len(period.forms) == len(period.word)

@@ -19,8 +19,8 @@ from topoforms.forms import QuadForm
 from topoforms.reduce import reduce_simple_cycle
 from topoforms.riverword import principal_form
 from topoforms.topograph import (TurnPath, bfs_vertices, find_river,
-                                 find_well, head_view, river_blocks,
-                                 river_start, step, tail_view)
+                                 find_well, head_view, river_walk, step,
+                                 tail_view)
 
 
 # ------------------------------------------------------------- reference
@@ -142,10 +142,10 @@ def test_river_extends_the_start_paths_last_run():
     # D = 96: the path to the river ends on an L turn, and the river's
     # first block is L^8, so the first edges' paths lengthen that run
     q = QuadForm(12, 12, 1)
-    anchor, path = river_start(q)
-    assert path.runs() == [("Li", 1), ("R", 1), ("L", 1)]
-    assert river_blocks(anchor).word == (("L", 8), ("R", 1))
     river = find_river(q)
+    start = river.edges[0]
+    assert start.path.runs() == [("Li", 1), ("R", 1), ("L", 1)]
+    assert river_walk(start.form).word == (("L", 8), ("R", 1))
     assert river.word == ("L",) * 8 + ("R",)
     assert [e.path.runs() for e in river.edges] == [
         [("Li", 1), ("R", 1), ("L", n)] for n in range(1, 10)]

@@ -22,7 +22,7 @@ from topoforms.reduce import (gauss_cycle, gauss_step, is_g_reduced,
                               is_simply_reduced, is_z_reduced,
                               reduce_simple_cycle, z_forms, zagier_classes,
                               zagier_cycle, zagier_step)
-from topoforms.topograph import block_step, period_blocks, river_blocks, walk
+from topoforms.topograph import block_step, period_blocks, river_walk, walk
 
 
 # ------------------------------------------------------------- reference
@@ -69,7 +69,8 @@ def ref_block_scan(q):
         word, end = walk(q, "L", lambda a, b, c, letter, k: (
             0 if a > 0 > c else None))
         root, end = tuple(x for x in word if x[1]), QuadForm(*end)
-    period = river_blocks(end)
+    period = river_walk(end)
+    assert period.forms[0] == end
     collected = []  # (form, block index, turns into the block)
     for i, ((letter, k), f) in enumerate(zip(period.word, period.forms)):
         lo = 0

@@ -5,10 +5,12 @@ they replaced.
 `ref_find_river` below materializes one cursor per unit edge, exactly as
 `find_river` did before the views: every view must agree with its tuples
 in length, indexing, slicing, iteration, equality and hash, down to the
-nodes of each edge's path.
+nodes of each edge's path.  A periodic river's start, path and turns come
+from `test_blockwalk`'s walk one unit turn at a time on q's roots, not from
+the block walk `find_river` runs.
 """
 
-from itertools import repeat
+from itertools import groupby, repeat
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -16,9 +18,10 @@ from hypothesis import assume, given, settings, strategies as st
 from topoforms.exact import is_square
 from topoforms.forms import QuadForm
 from topoforms.topograph import (EdgeCursor, RiverDescriptor, TurnPath,
-                                 block_step, find_river, river_blocks,
-                                 river_start, square_reduction,
+                                 block_step, find_river, square_reduction,
                                  square_river_blocks, turn_path)
+
+from test_blockwalk import ref_find_river as ref_unit_river
 
 
 # ------------------------------------------------------------- reference
@@ -51,8 +54,11 @@ def ref_find_river(q):
                                         (r, -m, 0),
                                         turn_path(steps).then("S"))
         return "finite", tuple(edges[1:]), tuple(letters[1:-1])
-    anchor, path = river_start(q)
-    edges, letters = ref_unit_edges(river_blocks(anchor).word, anchor, path)
+    unit_edges, unit_word = ref_unit_river(q)
+    anchor, path = unit_edges[0]
+    runs = [(letter, len(list(g))) for letter, g in groupby(unit_word)]
+    edges, letters = ref_unit_edges(runs, anchor, TurnPath.of(path))
+    assert [(e.form, e.path) for e in edges] == unit_edges
     return "periodic", tuple(edges), tuple(letters)
 
 
@@ -112,6 +118,8 @@ def check_river(q):
     edges, word = river.edges, river.word
     assert river.kind == kind
     assert len(edges) == len(ref_edges) and len(word) == len(ref_word)
+    for seq, ref in ((edges, ref_edges), (word, ref_word)):
+        assert seq.turns == len(ref) and bool(seq) == bool(ref)
 
     # every index, positive and negative, and past either end
     for seq, ref in ((edges, ref_edges), (word, ref_word)):

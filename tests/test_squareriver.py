@@ -21,7 +21,8 @@ from topoforms.exact import DomainError, Rat
 from topoforms.forms import QuadForm
 from topoforms.riverword import Necklace, topograph_of_necklace
 from topoforms.series import series_pos, series_seed, series_square
-from topoforms.topograph import RiverWalk, block_step, square_river_blocks
+from topoforms.topograph import (RiverWalk, block_step, find_river,
+                                 square_river_blocks)
 
 
 # ------------------------------------------------------------- reference
@@ -60,6 +61,20 @@ def test_square_river_forms_are_quad_forms():
     assert river.forms == (QuadForm(1, -10 ** 5, 0),
                            QuadForm(1, 10 ** 5 - 2, -10 ** 5 + 1))
     assert all(type(f) is QuadForm for f in river.forms)
+
+
+def test_river_views_count_turns_past_len():
+    # about 3.5e33 turns: truth tests and `turns` hold where len() cannot;
+    # the edges skip the river's first unit turn, the word its first and
+    # last
+    q = QuadForm(0, 2 ** 113 + 1, 3)
+    turns = sum(k for _, k in square_river_blocks(q).word)
+    river = find_river(q)
+    assert river.edges and river.word
+    assert river.edges.turns == turns - 1 and river.word.turns == turns - 2
+    assert type(river.edges.turns) is int and turns > 2 ** 63
+    with pytest.raises(OverflowError):
+        len(river.edges)
 
 
 def test_square_seed_is_the_least_partial_quotient_sum():
