@@ -1,28 +1,23 @@
 """Quadratic forms [a,b,c], unimodular matrices, the substitution action q|M,
-exact roots, and the elementary topograph moves L, R, S, U."""
+exact roots, and the elementary topograph moves L, R, S, U.  Forms, matrices
+and root pairs are named tuples: they unpack, index, compare and hash as
+plain tuples, and they copy and pickle."""
 
+from collections import namedtuple
 from math import gcd
 
 from .exact import INF, DomainError, Rat, Surd, is_square, isqrt
 
 
-class QuadForm(tuple):
+class QuadForm(namedtuple("QuadForm", "a b c")):
     """The form a x^2 + b x y + c y^2, stored as the triple (a, b, c)."""
+
+    __slots__ = ()
 
     def __new__(cls, a, b, c):
         return tuple.__new__(cls, (int(a), int(b), int(c)))
 
-    @property
-    def a(self):
-        return self[0]
-
-    @property
-    def b(self):
-        return self[1]
-
-    @property
-    def c(self):
-        return self[2]
+    _make = classmethod(lambda cls, items: cls(*items))  # _replace checks too
 
     def discriminant(self):
         a, b, c = self
@@ -49,8 +44,10 @@ def _mul(m, n):
     return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
 
-class UniMat(tuple):
+class UniMat(namedtuple("UniMat", "alpha beta gamma delta")):
     """2x2 integer matrix (alpha, beta; gamma, delta) of determinant +-1."""
+
+    __slots__ = ()
 
     def __new__(cls, alpha, beta, gamma, delta):
         m = tuple.__new__(cls, (int(alpha), int(beta), int(gamma), int(delta)))
@@ -58,21 +55,7 @@ class UniMat(tuple):
             raise DomainError(f"matrix {m} is not unimodular")
         return m
 
-    @property
-    def alpha(self):
-        return self[0]
-
-    @property
-    def beta(self):
-        return self[1]
-
-    @property
-    def gamma(self):
-        return self[2]
-
-    @property
-    def delta(self):
-        return self[3]
+    _make = classmethod(lambda cls, items: cls(*items))  # _replace checks too
 
     def det(self):
         return self[0] * self[3] - self[1] * self[2]
@@ -126,20 +109,12 @@ def act(q, m, allow_flip=False):
     )
 
 
-class Roots(tuple):
+class Roots(namedtuple("Roots", "first second")):
     """Pair (first, second) of exact roots of q(x,1)=0; entries are Rat,
     Surd, or the infinite Rat."""
 
-    def __new__(cls, first, second):
-        return tuple.__new__(cls, (first, second))
-
-    @property
-    def first(self):
-        return self[0]
-
-    @property
-    def second(self):
-        return self[1]
+    __slots__ = ()
+    __repr__ = tuple.__repr__
 
 
 def roots(q):
@@ -186,14 +161,15 @@ def _run_product(word):
         elif letter == "R":
             al, ga = al + be * e, ga + de * e
         elif letter == "S":
-            al, be, ga, de = be, -al, de, -ga
+            for _ in range(e % 4):  # S^4 = I
+                al, be, ga, de = be, -al, de, -ga
         else:
             raise DomainError(f"unknown letter {letter!r}")
     return al, be, ga, de
 
 
 def turn_sequence_matrix(word):
-    """Product of the word's letters: L^a0 R^a1 ... (S allowed, exponent 1).
+    """Product of the word's letters: L^a0 R^a1 ..., and S^e for (S, e).
 
     Runs of 16 letters are multiplied one letter at a time, and the runs'
     products pairwise, level by level, so that a long word whose product

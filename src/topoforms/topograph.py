@@ -325,9 +325,10 @@ def walk(form, letter, stop, cap=None):
     raise AssertionError("block walk failed to stop within its cap")
 
 
-def turn_path(word, path=TurnPath()):
-    """`path` followed by the turns of a block word: (L, k) is k turns L,
-    or |k| turns Li for k < 0, and likewise for R; (S, 1) is S."""
+def turn_path(word):
+    """The turns of a block word as a TurnPath: (L, k) is k turns L, or |k|
+    turns Li for k < 0, and likewise for R; (S, 1) is S."""
+    path = TurnPath()
     for letter, k in word:
         path = path.then(letter if k > 0 else letter + "i", abs(k))
     return path

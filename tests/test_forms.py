@@ -1,10 +1,24 @@
+import copy
+import dataclasses
+import pickle
+from functools import reduce
+from operator import matmul
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from topoforms.exact import DomainError, Rat, Surd
+from topoforms.contfrac import general_cf, real_cf
+from topoforms.exact import INF, DomainError, Rat, Surd
 from topoforms.forms import (ID, MAT_L, MAT_R, MAT_S, MAT_U, QuadForm, UniMat,
                              act, content_split, mobius, roots,
                              turn_sequence_matrix)
+from topoforms.reduce import (gauss_cycle, reduce_negative, reduce_simple_cycle,
+                              reduce_square, zagier_cycle)
+from topoforms.riverword import Necklace, pell_fundamental
+from topoforms.series import series_neg
+from topoforms.topograph import (EdgeCursor, TurnPath, find_river, find_well,
+                                 head_view, period_blocks, river_walk)
 
 COEF = st.integers(-40, 40)
 
@@ -102,9 +116,18 @@ def test_turn_sequence_matrix():
     m = turn_sequence_matrix(w)
     assert m == (MAT_L ** 2 @ MAT_R @ MAT_L ** -1 @ MAT_R @ MAT_L ** 2
                  @ MAT_R @ MAT_L @ MAT_R ** 2)
-    assert turn_sequence_matrix([("S", 1)]) == MAT_S
+    for e in range(-8, 9):
+        assert turn_sequence_matrix([("S", e)]) == MAT_S ** e
     with pytest.raises(DomainError):
         turn_sequence_matrix([("X", 1)])
+
+
+@given(st.lists(st.tuples(st.sampled_from("LRS"), st.integers(-6, 6)),
+                max_size=40))
+def test_turn_sequence_matrix_is_the_product(word):
+    mats = {"L": MAT_L, "R": MAT_R, "S": MAT_S}
+    assert turn_sequence_matrix(word) == reduce(
+        matmul, [mats[letter] ** e for letter, e in word], ID)
 
 
 def test_content_split():
@@ -112,3 +135,75 @@ def test_content_split():
     assert g == 2 and q0 == QuadForm(2, 3, 1)
     with pytest.raises(DomainError):
         content_split(QuadForm(0, 0, 0))
+
+
+def _values():
+    cursor = EdgeCursor(QuadForm(3, -1, 2), TurnPath.of(("L", "L", "R", "S")))
+    return {
+        "form": QuadForm(47, -36, 7),
+        "matrix": UniMat(2, 5, 1, 3),
+        "roots-surd": roots(QuadForm(1, 0, -24)),
+        "roots-rational": roots(QuadForm(1, -3, 2)),
+        "roots-infinite": roots(QuadForm(0, 3, -6)),
+        "roots-double-infinite": roots(QuadForm(0, 0, 5)),
+        "cursor": cursor,
+        "vertex": head_view(cursor),
+        "well": find_well(QuadForm(7, 3, 11)),
+        "river-periodic": find_river(QuadForm(1, 0, -24)),
+        "river-finite": find_river(QuadForm(0, 5, 2)),
+        "river-walk": river_walk(QuadForm(1, 0, -24)),
+        "period-blocks": period_blocks(QuadForm(1, 0, -24)),
+        "reduce-negative": reduce_negative(QuadForm(47, -36, 7)),
+        "reduce-square": reduce_square(QuadForm(4, 13, 9)),
+        "reduce-simple-cycle": reduce_simple_cycle(QuadForm(1, 0, -24)),
+        "gauss-cycle": gauss_cycle(QuadForm(1, 0, -24)),
+        "zagier-cycle": zagier_cycle(QuadForm(1, 0, -24)),
+        "real-cf": real_cf(Surd(1, 1, 2, 5)),
+        "general-cf": general_cf(Surd(1, 1, 2, -7)),
+        "necklace": Necklace("0101101"),
+        "pell": pell_fundamental(13),
+        "series-report": series_neg(QuadForm(1, 1, 1), 2),
+        "rat": Rat(-3, 7),
+        "rat-infinite": INF,
+        "surd": Surd(1, 1, 2, 5),
+    }
+
+
+VALUES = _values()
+COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy}
+COPIES.update({f"pickle-{p}": lambda x, p=p: pickle.loads(pickle.dumps(x, p))
+               for p in range(2, pickle.HIGHEST_PROTOCOL + 1)})
+
+
+@pytest.mark.parametrize("how", COPIES)
+@pytest.mark.parametrize("name", VALUES)
+def test_results_copy_and_pickle(name, how):
+    x = VALUES[name]
+    y = COPIES[how](x)
+    assert type(y) is type(x)
+    assert y == x
+
+
+def test_value_types_as_dicts():
+    red = reduce_negative(QuadForm(47, -36, 7))
+    assert dataclasses.asdict(red) == {
+        "canonical": red.canonical, "transform": red.transform,
+        "steps": red.steps, "negated": red.negated}
+    well = find_well(QuadForm(7, 3, 11))
+    assert dataclasses.asdict(well) == {
+        "kind": well.kind, "at": well.at, "labels": well.labels}
+
+
+def test_value_types_reprs_and_checks():
+    assert repr(QuadForm(47, -36, 7)) == "[47,-36,7]"
+    assert repr(MAT_L) == "(1 1; 0 1)"
+    r = roots(QuadForm(1, -3, 2))
+    assert repr(r) == repr(tuple(r))
+    q = QuadForm(np.int64(2), True, 3)
+    assert q == (2, 1, 3) and all(type(x) is int for x in q)
+    assert not hasattr(q, "__dict__")
+    assert type(q._replace(b=np.int64(5)).b) is int
+    with pytest.raises(DomainError):
+        UniMat(1, 1, 1, 1)
+    with pytest.raises(DomainError):
+        ID._replace(alpha=5)
