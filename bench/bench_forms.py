@@ -13,17 +13,21 @@ three L/R blocks of up to 50 turns, the sizes the perfbench `queries`
 workload draws; `roots` in each regime (definite forms near 10^6,
 indefinite forms of non-square D near 10^4, square D, and a = 0); and
 `turn_sequence_matrix` on words of 10^3 and 10^4 blocks of 1 to 9 turns,
-which also records the blocks and the bit length of the product.  Only
+which also records the blocks and the bit length of the product; and
+`Rat` operations on 10^4 rationals up to 10^6 over 10^6, one in sixteen
+each +-1/0, 0 or an int: the four order comparisons, negation, `invert`,
+subtraction of finite values and `mobius` of an `act`-sized matrix.  Only
 functions that keep their names and outputs are timed, so the file runs
 unchanged on earlier versions of the library.
 """
 
+import operator
 import random
 
 import pytest
 
-from topoforms.exact import is_square
-from topoforms.forms import (MAT_L, MAT_R, QuadForm, act, roots,
+from topoforms.exact import INF, NEG_INF, Rat, is_square
+from topoforms.forms import (MAT_L, MAT_R, QuadForm, act, mobius, roots,
                              turn_sequence_matrix)
 from topoforms.topograph import _quad_form
 
@@ -112,3 +116,47 @@ def test_turn_sequence_matrix(benchmark, blocks):
                                 bits=max(abs(x) for x in m).bit_length())
     benchmark.pedantic(turn_sequence_matrix, (word,), rounds=10,
                        iterations=1, warmup_rounds=1)
+
+
+def _rat(rng, finite=False):
+    # a rational up to 10^6 over 10^6, or one in sixteen each +-1/0 (unless
+    # finite), 0 or an int
+    u = rng.randrange(16)
+    if u == 0 and not finite:
+        return rng.choice((INF, NEG_INF))
+    if u < 2:
+        return Rat(0)
+    if u == 2:
+        return rng.randint(-10 ** 6, 10 ** 6)
+    return Rat(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+
+
+def _as_rat(x):
+    return x if isinstance(x, Rat) else Rat(x)
+
+
+def _rat_inputs(op, rng):
+    finite = op == "subtract"
+    xs = [_as_rat(_rat(rng, finite)) for _ in range(BATCH)]
+    if op in ("negate", "invert"):
+        return xs
+    if op == "mobius":
+        return [(_scramble(rng, 3, 50), x) for x in xs]
+    return [(x, _rat(rng, finite)) for x in xs]
+
+
+RAT_OPS = {
+    "compare": lambda p: (p[0] < p[1], p[0] <= p[1], p[0] > p[1],
+                          p[0] >= p[1]),
+    "negate": operator.neg,
+    "invert": Rat.invert,
+    "subtract": lambda p: p[0] - p[1],
+    "mobius": lambda p: mobius(*p),
+}
+
+
+@pytest.mark.parametrize("op", RAT_OPS)
+def test_rat_ops(benchmark, op):
+    inputs = _rat_inputs(op, random.Random(f"rat:{op}"))
+    ops = 4 * len(inputs) if op == "compare" else len(inputs)
+    _run(benchmark, RAT_OPS[op], inputs, ops=ops)

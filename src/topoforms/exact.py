@@ -6,6 +6,7 @@ finished integer expression to a double.
 """
 
 import math
+from functools import total_ordering
 from math import gcd
 
 
@@ -32,6 +33,7 @@ def is_square(n):
     return r * r == n
 
 
+@total_ordering
 class Rat:
     """Rational num/den with den >= 0; den == 0 encodes the infinities +-1/0."""
 
@@ -67,31 +69,13 @@ class Rat:
         # an integral Rat equals its int, so it hashes like it
         return hash(self.num) if self.den == 1 else hash((self.num, self.den))
 
-    def _cmp(self, other):
+    def __lt__(self, other):
         if isinstance(other, int):
             other = Rat(other)
-        # infinities: -1/0 < every finite < +1/0
-        if self.is_infinite() and other.is_infinite():
-            return (self.num > other.num) - (self.num < other.num)
-        if self.is_infinite():
-            return self.num
-        if other.is_infinite():
-            return -other.num
-        lhs = self.num * other.den
-        rhs = other.num * self.den
-        return (lhs > rhs) - (lhs < rhs)
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
+        if self.den and other.den:
+            return self.num * other.den < other.num * self.den
+        # -1/0 < every finite value < +1/0: a finite value counts as 0
+        return (0 if self.den else self.num) < (0 if other.den else other.num)
 
     def _require_finite(self):
         if self.is_infinite():
@@ -106,13 +90,9 @@ class Rat:
                    self.den * other.den)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = Rat(other)
         return self + (-other)
 
     def __neg__(self):
-        if self.is_infinite():
-            return Rat(-self.num, 0)
         return Rat(-self.num, self.den)
 
     def __mul__(self, other):
@@ -123,10 +103,7 @@ class Rat:
         return Rat(self.num * other.num, self.den * other.den)
 
     def invert(self):
-        if self.is_infinite():
-            return Rat(0)
-        if self.num == 0:
-            return Rat(1, 0)
+        # the constructor takes 0 to +1/0, and +-1/0 to 0
         return Rat(self.den, self.num)
 
     def floor(self):

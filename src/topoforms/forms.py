@@ -65,10 +65,8 @@ class UniMat(namedtuple("UniMat", "alpha beta gamma delta")):
 
     def inverse(self):
         a, b, c, d = self
-        det = self.det()
-        if det == 1:
-            return UniMat(d, -b, -c, a)
-        return UniMat(-d, b, c, -a)
+        det = self.det()  # det * adj(M), as det = 1/det
+        return UniMat(det * d, -det * b, -det * c, det * a)
 
     def __pow__(self, n):
         if n < 0:
@@ -141,9 +139,7 @@ def mobius(m, x):
     """Fractional-linear action (alpha x + beta)/(gamma x + delta) on a Rat,
     Surd, or infinity."""
     al, be, ga, de = m
-    if isinstance(x, Rat):
-        if x.is_infinite():
-            return Rat(al * x.num, ga * x.num)
+    if isinstance(x, Rat):  # +-1/0 too, as (+-1)/0
         return Rat(al * x.num + be * x.den, ga * x.num + de * x.den)
     num = x * al + be
     den = x * ga + de

@@ -112,18 +112,18 @@ def _exact_parts(t, g=0, parts=None):
     rows, n = t.shape
     g = np.broadcast_to(g, n)
     parts = [[] for _ in range(rows)] if parts is None else parts
-    if n < 256:  # a few columns are their own parts
-        for key, v in zip((g * rows + np.arange(rows)[:, None]).flat, t.flat):
-            parts[key].append(v)
-        return parts
     m, e = np.frexp(t)
     m *= 2.0 ** 27
     h = np.floor(m)
     m -= h
-    gmin = int(g.min())
-    keys = rows * (int(g.max()) - gmin + 1)
-    emin = int(e.min())
-    span = int(e.max()) - emin + 1
+    # initial= serves an empty t only, as groups are >= 0 and exponents of
+    # frexp > -1075: one empty bucket per row
+    gmax = int(g.max(initial=0))
+    gmin = int(g.min(initial=gmax))
+    keys = rows * (gmax - gmin + 1)
+    emax = int(e.max(initial=-1075))
+    emin = int(e.min(initial=emax))
+    span = emax - emin + 1
     # one bucket per row, group and exponent; only the nonzero are kept
     idx = (g * (rows * span) + e + (np.arange(rows) * span - emin
                                     - gmin * rows * span)[:, None]).reshape(-1)

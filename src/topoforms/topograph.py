@@ -90,6 +90,10 @@ class TurnPath:
     def __repr__(self):
         return f"TurnPath({tuple(self)!r})"
 
+    def __reduce__(self):
+        # copied and pickled by runs: the default recurses once per node
+        return turn_path, (self.runs(),)
+
 
 class EdgeCursor(NamedTuple):
     """A directed edge carrying `form`; `path` records the turns from the
@@ -495,24 +499,30 @@ def period_blocks(q):
 
 class _RiverRuns(NamedTuple):
     # a river's blocks of k > 0 turns: block i takes letters[i] for turns
-    # offsets[i] .. offsets[i + 1] - 1 of the river, from forms[i]; paths[i]
-    # is the path to its first edge, and paths[i + 1] the one node that
-    # ends it (extending the previous run when the letters agree)
+    # offsets[i] .. offsets[i + 1] - 1 of the river, from forms[i], and
+    # paths[i] is the path to its first edge
     letters: list
     offsets: list
     forms: list
     paths: list
 
+    def __reduce__(self):
+        # rebuilt from the blocks: the paths share their prefixes, which a
+        # pickle of each path by runs would copy once per block
+        letters, offsets, forms, paths = self
+        word = zip(letters, map(operator.sub, offsets[1:], offsets))
+        return _river_runs, (list(word), forms, paths[0])
+
 
 def _river_runs(word, forms, path):
-    letters, offsets, kept, paths = [], [0], [], [path]
+    letters, offsets, kept, paths = [], [0], [], []
     for (letter, k), form in zip(word, forms):
         if k:
-            path = path.then(letter, k)
             letters.append(letter)
             offsets.append(offsets[-1] + k)
             kept.append(form)
             paths.append(path)
+            path = path.then(letter, k)
     return _RiverRuns(letters, offsets, kept, paths)
 
 
@@ -584,32 +594,28 @@ class RiverEdges(_RiverView):
     """The edges of a river, as EdgeCursors on the form before each unit
     turn and with the path to it: a read-only sequence view over its
     blocks.  Edge j of a block is the block's first form moved by j turns,
-    and its path a node of the run that ends the block.  Hashing the view
-    expands every edge's path turn by turn: its time is quadratic in the
-    river's length."""
+    and its path the block's start path followed by j turns.  Hashing the
+    view expands every edge's path turn by turn: its time is quadratic in
+    the river's length."""
 
     __slots__ = ()
 
     def _item(self, i, j):
-        letters, offsets, forms, paths = self._runs
-        end = paths[i + 1]
-        path = paths[i] if j == 0 else TurnPath(
-            end.prefix, letters[i],
-            end.count - offsets[i + 1] + offsets[i] + j)
+        letters, _, forms, paths = self._runs
         form = _quad_form(_block(*forms[i], letters[i], j))
-        return tuple.__new__(EdgeCursor, (form, path))
+        return tuple.__new__(EdgeCursor, (form, paths[i].then(letters[i], j)))
 
     def __iter__(self):
         # one unit turn per edge, stepping (a, b, c) inline, in one loop per
-        # letter so that no edge tests its letter; the paths are nodes of
-        # each block's end run, built directly
+        # letter so that no edge tests its letter; the paths are the nodes
+        # `then` would build on each block's start path, built directly
         new, node = tuple.__new__, TurnPath
-        letters, offsets, forms, paths = self._runs
+        letters, _, _, paths = self._runs
         for i, j0, j1 in self._spans():
-            end = paths[i + 1]
-            prefix, base = end.prefix, end.count - offsets[i + 1] + offsets[i]
-            edge = self._item(i, j0) if j0 else new(EdgeCursor,
-                                                    (forms[i], paths[i]))
+            start = paths[i]
+            prefix, base = ((start.prefix, start.count)
+                            if start.turn == letters[i] else (start, 0))
+            edge = self._item(i, j0)
             yield edge
             a, b, c = edge.form
             if letters[i] == "L":

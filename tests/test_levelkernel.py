@@ -462,6 +462,20 @@ def test_exact_parts_match_fsum():
                 == [fsum(row) for row in t.tolist()])
 
 
+def test_exact_parts_by_group_from_no_columns_up():
+    # one bucket pass at every width; no columns leave the parts unchanged
+    rng = np.random.default_rng(5)
+    for n in (0, 1, 7, 255, 256, 3000):
+        t = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-30, 30, (2, n))
+        g = rng.integers(3, 9, n)
+        parts = [[0.5] for _ in range(18)]
+        assert series._exact_parts(t, g, parts) is parts
+        for key, p in enumerate(parts):
+            row, group = key % 2, key // 2
+            assert fsum(p) == fsum([0.5] + t[row, g == group].tolist())
+    assert series._exact_parts(np.empty((3, 0))) == [[], [], []]
+
+
 # -------------------------------------------- one river walk per class
 
 def test_seed_and_root_product_walk_each_class_once():

@@ -1,13 +1,18 @@
-"""TurnPath equality by runs, and units beyond float range."""
+"""TurnPath equality by runs, copies and pickles of long paths and rivers,
+and units beyond float range."""
 
+import copy
 import json
 import math
+import pickle
 import time
+
+import pytest
 
 from topoforms.cli import run
 from topoforms.forms import QuadForm
-from topoforms.riverword import pell_fundamental
-from topoforms.topograph import TurnPath, find_well
+from topoforms.riverword import pell_fundamental, principal_form
+from topoforms.topograph import TurnPath, find_river, find_well
 
 
 def test_adjacent_equal_runs_merge():
@@ -38,6 +43,28 @@ def test_long_paths_compare_by_runs():
     equal, seconds = _best_compare(well, TurnPath().then("Li", n - 1)
                                    .then("L"))
     assert not equal and seconds < 0.005
+
+
+@pytest.mark.parametrize("how", ["pickle", "deepcopy"])
+@pytest.mark.parametrize("D", [1003033, 100000037])
+def test_long_paths_and_rivers_copy_and_pickle(D, how):
+    # the last edge's path has thousands of runs (5,159 at D = 100000037)
+    river = find_river(principal_form(D))
+    edge = river.edges[-1]
+    if how == "pickle":
+        data = pickle.dumps(river)
+        assert len(data) < 2 ** 20
+        river2, edge2 = pickle.loads(data), pickle.loads(pickle.dumps(edge))
+    else:
+        river2, edge2 = copy.deepcopy(river), copy.deepcopy(edge)
+    assert edge2 == edge and edge2.path.runs() == edge.path.runs()
+    assert river2.kind == river.kind
+    assert river2.edges.turns == river.edges.turns
+    assert river2.word.turns == river.word.turns
+    assert river2.word == river.word
+    for i in (7, -1):
+        assert river2.edges[i] == river.edges[i]
+        assert river2.edges[i].path.runs() == river.edges[i].path.runs()
 
 
 def test_pell_beyond_float_range(capsys):
