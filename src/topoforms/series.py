@@ -116,8 +116,7 @@ def _exact_parts(t, g=0, parts=None):
     m *= 2.0 ** 27
     h = np.floor(m)
     m -= h
-    # initial= serves an empty t only, as groups are >= 0 and exponents of
-    # frexp > -1075: one empty bucket per row
+    # initial= serves an empty t only: groups are >= 0, exponents > -1075
     gmax = int(g.max(initial=0))
     gmin = int(g.min(initial=gmax))
     keys = rows * (gmax - gmin + 1)

@@ -140,7 +140,8 @@ _ARGV = [
     ["classnum", "--disc", "-23"], ["classnum", "--disc", "-23", "--star"],
     ["classnum", "--disc", "-12", "--hurwitz"], ["classnum", "--disc", "36"],
     ["classnum", "--disc", "0", "--star"], ["classnum", "--disc", "229"],
-    ["pell", "--disc", "13"], ["pell", "--disc", "12"], ["pell", "--disc", "9"],
+    ["pell", "--disc", "13"], ["pell", "--disc", "12"],
+    ["pell", "--disc", "9"],
     ["necklace", "--disc", "229"], ["necklace", "--decode", "0011101"],
     ["necklace"], ["word", "--disc", "441"], ["word", "--decode", "0110"],
     ["word", "--disc", "1"], ["word", "--disc", "5"],
