@@ -18,16 +18,26 @@ Each benchmark records in `extra_info` the unit edges of the river, or its
 turns for the readers, and its blocks, and the median time per edge (or
 turn) and per block in microseconds.  The forms start on their river, or
 are reduced square-D forms, so the walk to it costs nothing here.
+
+The walk onto the river or into the well runs on big coefficients:
+`river_walk`, `reduce_simple_cycle` and `reduce_negative` on [1, 0, -2]
+and [1, 1, 1] (for `reduce_negative`) moved by n random blocks of 1 to 3
+turns, alternately L and R, seeded by n, for n = 10^3, 10^4 and 3 * 10^4,
+and 10^5 for the first two.  Each records the bits of the form's largest
+coefficient and n, as `bits` and `blocks`, and the median time per block.
 """
+
+import random
 
 import pytest
 
 from topoforms.exact import is_square
 from topoforms.forms import QuadForm
-from topoforms.reduce import reduce_simple_cycle
+from topoforms.reduce import reduce_negative, reduce_simple_cycle
 from topoforms.riverword import (necklace_of, negative_pell,
                                   pell_fundamental, principal_form, symmetry)
-from topoforms.topograph import find_river, river_walk, square_river_blocks
+from topoforms.topograph import (block_step, find_river, river_walk,
+                                 square_river_blocks)
 
 DISCS = [1003033, 2000133, 100000037]
 READERS = {
@@ -109,3 +119,35 @@ def test_reduce_simple_cycle(benchmark, D):
 def test_river_reader(benchmark, reader, q):
     out = _run(benchmark, READERS[reader], q, "turn")
     assert out is not None or reader == "negative_pell"
+
+
+def _far(form, blocks):
+    # the form moved by `blocks` random blocks of 1 to 3 turns, seeded
+    rng = random.Random(blocks)
+    for i in range(blocks):
+        form = block_step(form, "LR"[i % 2], rng.randint(1, 3))
+    return form
+
+
+FAR = {"river_walk": (river_walk, QuadForm(1, 0, -2)),
+       "reduce_simple_cycle": (reduce_simple_cycle, QuadForm(1, 0, -2)),
+       "reduce_negative": (reduce_negative, QuadForm(1, 1, 1))}
+FAR_CASES = [pytest.param(walker, blocks, id=f"{walker}-{blocks}")
+             for walker in FAR
+             for blocks in (10 ** 3, 10 ** 4, 3 * 10 ** 4, 10 ** 5)
+             if blocks < 10 ** 5 or walker != "reduce_negative"]
+
+
+@pytest.mark.parametrize("walker, blocks", FAR_CASES)
+def test_far_form(benchmark, walker, blocks):
+    fn, base = FAR[walker]
+    q = _far(base, blocks)
+    benchmark.extra_info.update(
+        {"bits": max(x.bit_length() for x in q), "blocks": blocks})
+    # the unit-block walk took seconds per call at 10^5 blocks: fewer rounds
+    rounds = 5 if blocks < 10 ** 5 else 3
+    benchmark.pedantic(fn, (q,), rounds=rounds, iterations=1,
+                       warmup_rounds=int(blocks < 10 ** 5))
+    if benchmark.stats:  # None under --benchmark-disable
+        benchmark.extra_info["us_per_block"] = (
+            benchmark.stats.stats.median * 1e6 / blocks)

@@ -101,7 +101,10 @@ def real_cf(x):
 
     word, (a, b, c) = walk(form, "L", repeats)
     terms = [k for _, k in word]
-    i = seen[(-c, -b, -a) if word[-1][0] == "L" else (a, b, c)]
+    # the period counts back from the end: the walk may take blocks of big
+    # forms in batches, unseen, but never from the period's reduced forms
+    i = len(word) - len(seen) + seen[(-c, -b, -a) if word[-1][0] == "L"
+                                     else (a, b, c)]
     return CFExpansion(terms[:i], period=terms[i:])
 
 

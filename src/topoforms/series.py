@@ -44,8 +44,8 @@ from .reduce import (_primes, _class_rivers, divisor_rows, reduced_forms,
                      z_forms, zagier_cycle, zstar_forms)
 from .riverword import epsilon
 from .topograph import (_LABEL_MAX, EdgeCursor, _batches, _levels,
-                        ball_levels, find_river, square_reduction,
-                        square_river_blocks)
+                        ball_levels, block_step, find_river,
+                        square_reduction, square_river_blocks)
 
 # the two Poincare-series evaluations the identities rest on
 POINCARE_ALL_ONES = 3 * pi / 2
@@ -414,10 +414,17 @@ def series_square(q, depth):
     r = q0.c
     g0 = gcd(m, r)
     s_res = pow(r, -1, m) if m > 1 and g0 == 1 else r
-    # the middle river edge after the lake edge [r, -m, 0] = q0|S, or else
-    # that edge; the river may have more turns than len() can count
-    edges = find_river(q).edges
-    root = edges[edges.turns // 2] if edges else EdgeCursor(QuadForm(r, -m, 0))
+    # the middle river edge, the form after turn (T + 1) // 2 of the T turns
+    # from the lake edge [r, -m, 0] = q0|S, whose edges come after turns 1
+    # to T - 1; or else that lake edge
+    _, word, forms = square_river_blocks(q0)
+    turns = sum(k for _, k in word)
+    t = (turns + 1) // 2 if turns > 1 else 0
+    for (letter, k), form in zip(word, forms):
+        if t < k:
+            break
+        t -= k
+    root = EdgeCursor(block_step(form, letter, t))
     sums1, sums2, terms = _group_sums(partial(_square_terms, m),
                                       ball_levels(root), depth, depth + 1)
     v1 = fsum(sums1) + W1(r / m) + W1(s_res / m)

@@ -16,7 +16,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, cycle, islice, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -77,10 +77,11 @@ class TurnPath:
             yield from repeat(turn, count)
 
     def __eq__(self, other):
+        # by _len, which len() cannot return past 2^63 - 1
         if isinstance(other, TurnPath):
-            return len(self) == len(other) and self.runs() == other.runs()
+            return self._len == other._len and self.runs() == other.runs()
         if isinstance(other, tuple):
-            return len(self) == len(other) and tuple(self) == other
+            return self._len == len(other) and tuple(self) == other
         return NotImplemented
 
     def __hash__(self):
@@ -260,7 +261,10 @@ def bfs_vertices(root, max_depth):
 # turns leaves zeta - k, an R block 1/zeta - k, 1/zeta = (-b - sqrt D)/(2c).
 # k is an exact integer floor fixed by D, and each regime stops at its own
 # integer test: F' for D < 0, a lake for square D, a simple form (and then
-# the period's end) for non-square D > 0.
+# the period's end) for non-square D > 0.  Far above |D| the blocks are
+# fixed by the coefficients' leading bits, and the walk takes them in
+# batches (Lehmer's step: D. H. Lehmer, "Euclid's algorithm for large
+# numbers", Amer. Math. Monthly 45, 1938), one matrix product per batch.
 
 _quad_form = partial(tuple.__new__, QuadForm)  # for triples of ints
 
@@ -288,6 +292,100 @@ def block_step(form, letter, k):
     return QuadForm(*_block(*form, letter, k))
 
 
+_WINDOW = 176  # the leading bits of (a, b, c) a batch reads
+
+
+def _real_quotients(P, B, Q, limit):
+    # For real roots, each block's k is the next partial quotient of the
+    # first root: an R block is an L block of the reversed form, so the
+    # walk from the form whose pivot (a before L, c before R) has leading
+    # bits P, and b has B, in units u > sqrt(D), expands (-b +- sqrt D)/2P
+    # as regular continued fractions.  Both roots lie in [p/q, r/s]; the
+    # quotients both ends share are every point's, both roots' too, so no
+    # block of them ends on a simple form; and one that leaves either end
+    # with remainder 0 is not taken, so none ends on a lake.
+    if P > 0:
+        n0, n1, d0, d1 = -B - 2, -B + 1, 2 * P, 2 * P + 2
+    elif P < -1:
+        n0, n1, d0, d1 = B - 1, B + 2, -2 * P - 2, -2 * P
+    else:
+        return []
+    p, q = n0, d1 if n0 >= 0 else d0
+    r, s = n1, d0 if n1 >= 0 else d1
+    ks = []
+    while True:  # ends where the two ends' expansions part or end
+        k = p // q
+        t = r - k * s  # r/s has floor k and a remainder when 0 < t < s
+        if not 0 < t < s:
+            break
+        p, q = q, p - k * q
+        if not q:
+            break
+        r, s = s, t
+        ks.append(k)
+    return ks[:limit]
+
+
+def _definite_quotients(P, B, Q, limit):
+    # For D < 0, the blocks from the positive definite form whose pivot,
+    # b and other coefficient have leading bits P, B and Q, in units
+    # u > |D|, each an L block of (P, B, Q) as above.  The true values lie
+    # within x^2, 2xy and y^2 of P, B and Q, where x and y are the column
+    # sums of |entries| of the batch's matrix for the pivot and for Q.  A
+    # block is taken when its k is floor(-b/2P) for every b and P in those
+    # boxes, and its end form has both Q and P at least u, so that no stop
+    # meets it.
+    x = y = 1
+    ks = []
+    # x and y grow with every block but a zero block, and a form with a
+    # and c above |D| never takes two zero blocks in a row
+    while True:
+        xx = x * x
+        if P <= xx:
+            break
+        k = -B // (2 * P)
+        j = abs(k)
+        t = -B - 2 * k * P  # -b after the block
+        w = 2 * (x * y + j * xx)
+        if t < w or 2 * (P - xx) - t <= w:
+            break
+        y += j * x
+        Q += (P * k + B) * k
+        if Q <= y * y:
+            break
+        B = -t
+        ks.append(k)
+        P, Q = Q, P
+        x, y = y, x
+    return ks[:limit]
+
+
+def _batch(a, b, c, letter, shift, limit, quotients):
+    """Lehmer's step: the walk's next blocks from the leading bits of
+    (a, b, c), at most `limit` of them, and the form they end on.  The
+    quotients come from small ints, u = 2^shift > |D|: for real roots,
+    those both ends of an interval around the roots share; for D < 0,
+    those every form within the error bounds of the leading bits shares.
+    The blocks multiply to one matrix, applied to (a, b, c) once."""
+    P, B, Q = (a, b, c) if letter == "L" else (c, b, a)
+    ks = quotients(P >> shift, B >> shift, Q >> shift, limit)
+    if not ks:
+        return [], None
+    # each block adds k times the pivot's column to the other column, whose
+    # coefficient is the next block's pivot
+    e, f, g, h = (1, 0, 0, 1) if letter == "L" else (0, 1, 1, 0)
+    for k in ks:
+        e, g = g + k * e, e
+        f, h = h + k * f, f
+    al, ga, be, de = (e, f, g, h) if len(ks) % 2 == (letter == "R") else (
+        g, h, e, f)
+    # [a, b, c] | (al be; ga de), with al de - be ga = 1 giving b's terms
+    u = a * al + b * ga
+    word = list(zip(cycle((letter, "R" if letter == "L" else "L")), ks))
+    return word, (al * u + c * (ga * ga), 2 * be * u + b + c * (2 * ga * de),
+                  be * (a * be + b * de) + c * (de * de))
+
+
 def walk(form, letter, stop, cap=None):
     """Alternate L and R blocks from `form`, the first one `letter`.  An L
     block takes k = floor(zeta) turns and an R block k = floor(1/zeta): of
@@ -297,13 +395,45 @@ def walk(form, letter, stop, cap=None):
     meets stop(a, b, c, letter, k), which returns None to go on, or the
     turns j that block takes beyond k (j < 0 takes turns back).  Returns
     the blocks (letter, k), zero blocks included, and the end form.  Past
-    `cap` blocks it raises AssertionError."""
+    `cap` blocks it raises AssertionError.
+
+    While the largest coefficient has at least _WINDOW + bits(|D|) bits,
+    the walk reads its next blocks off the coefficients' leading bits in
+    batches (`_batch`), and stop is not called on the forms they end on: for
+    D < 0, forms with a and c above |D|, for real roots, forms with both
+    roots finite, nonzero and of one sign (ac > 0).  No stop may meet such
+    a form: it is never reduced, nor its S image, a lake, simple, or on a
+    period.  A block the batch cannot prove is taken alone, with stop, and
+    so is every block below the gate."""
     a, b, c = form
-    D = b * b - 4 * a * c
+    bb = b * b
+    D = bb - 4 * a * c
     s = isqrt(max(D, 0))
     irrational = s * s != D
+    # past the gate, b^2 = D + 4ac >= 2^_WINDOW, or ac = 0: a lake, whose
+    # big coefficient the walk leaves within two blocks
+    big = bb >> _WINDOW
     word = []
-    for _ in repeat(None) if cap is None else range(cap):
+    blocks = repeat(None) if cap is None else range(cap)
+    if big:
+        blocks = iter(blocks)
+    for _ in blocks:
+        if big:
+            top = max(a.bit_length(), b.bit_length(), c.bit_length())
+            big = top >= _WINDOW + abs(D).bit_length()
+            if big:  # Lehmer's step
+                batch, end = _batch(
+                    a, b, c, letter, top - _WINDOW,
+                    None if cap is None else cap - len(word),
+                    _definite_quotients if D < 0 else _real_quotients)
+                if batch:
+                    word += batch
+                    a, b, c = end
+                    letter = "R" if batch[-1][0] == "L" else "L"
+                    # the batch's other blocks count toward cap
+                    next(islice(blocks, len(batch) - 1, len(batch) - 1),
+                         None)
+                    continue
         # zeta or 1/zeta is (p + sqrt D)/r
         p, r = (-b, 2 * a) if letter == "L" else (b, -2 * c)
         if D < 0:
@@ -390,7 +520,9 @@ class RiverWalk(NamedTuple):
 
 def _to_lake(form, m):
     # one leg for D = m^2, the rational first root's continued fraction, as
-    # its blocks, their first forms (int triples) and the end form
+    # its blocks, the first forms (int triples) of the blocks stop sees, and
+    # the end form; stop sees every block of a river, whose forms all lie
+    # below walk's gate
     forms = [form]
 
     def lake(a, b, c, letter, k):
@@ -578,9 +710,29 @@ class _RiverView(Sequence):
         block = bisect_right(offsets, t) - 1
         return self._item(block, t - offsets[block])
 
+    def _letter_runs(self):
+        # the letters taken from every item but the last, as maximal runs
+        runs = []
+        letters = self._runs.letters
+        for i, j0, j1 in _RiverView(self._runs, self._lo,
+                                    self._lo + self._len - 1)._spans():
+            if runs and runs[-1][0] == letters[i]:
+                runs[-1][1] += j1 - j0
+            else:
+                runs.append([letters[i], j1 - j0])
+        return runs
+
     def __eq__(self, other):
-        if isinstance(other, (tuple, _RiverView)):
-            return len(self) == len(other) and tuple(self) == tuple(other)
+        # a view's items follow from its first item and the letters taken
+        # from them (a form and its path step by the letter), so two views
+        # compare in O(blocks), past len()'s range too
+        if isinstance(other, tuple):
+            return self.turns == len(other) and tuple(self) == other
+        if isinstance(other, _RiverView):
+            return self.turns == other.turns and (
+                not self.turns or self[0] == other[0]
+                and self[-1] == other[-1]
+                and self._letter_runs() == other._letter_runs())
         return NotImplemented
 
     def __hash__(self):

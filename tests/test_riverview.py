@@ -170,6 +170,19 @@ def test_fixed_rivers_match_the_eager_build(q):
     check_river(q)
 
 
+@given(st.one_of(periodic_forms(), finite_forms()), st.sampled_from("LR"),
+       st.integers(-3, 3))
+@settings(max_examples=150, deadline=None)
+def test_views_compare_as_their_tuples(q, letter, k):
+    # views compare by blocks: as their tuples do, on rivers of one class
+    # reached along different paths too
+    one, two = find_river(q), find_river(block_step(q, letter, k))
+    for x, y in ((one.edges, two.edges), (one.word, two.word),
+                 (one.edges, one.word), (one.word, two.edges)):
+        assert (x == y) == (tuple(x) == tuple(y)), (x, y)
+        assert (x != y) == (tuple(x) != tuple(y))
+
+
 def test_views_hold_their_blocks_only():
     # two blocks, R^(2^28 + 1) and L^(2^28 + 1): indexing and length never
     # expand them, and the edges replay from the form through their runs

@@ -77,6 +77,19 @@ def test_river_views_count_turns_past_len():
         len(river.edges)
 
 
+def test_river_views_compare_past_len():
+    # two walks of one river compare block by block, and against a tuple
+    # by their turns first, where len() cannot count them
+    q = QuadForm(0, 2 ** 113 + 1, 3)
+    river, again = find_river(q), find_river(q)
+    assert river.edges == again.edges and river.word == again.word
+    assert river == again
+    assert river.edges != () and river.word != ("L",)
+    other = find_river(QuadForm(0, 2 ** 113 + 1, 5))
+    assert river.edges != other.edges and river.word != other.word
+    assert river.edges != river.word
+
+
 def test_square_seed_is_the_least_partial_quotient_sum():
     for m in range(1, 201):
         best = min((sum(real_cf(Rat(m, r)).terms), r)
