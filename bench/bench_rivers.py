@@ -12,8 +12,8 @@ the square-D forms [0, F(n+1), F(n)], F the Fibonacci numbers, at n = 100
 and 300 (partial quotients all 1: a block per turn) and [0, 10^k, 1] (one
 long block).  The river readers `pell_fundamental`, `negative_pell`,
 `necklace_of` and `symmetry` run on the same three principal forms and on
-[1, n, -1] for n = 10^3, 10^4 and 10^5, whose river is two blocks of n
-turns: the Pell readers on the form's D, whose principal class it is.
+[1, n, -1] for n = 10^3, 10^4, 10^5 and 10^6, whose river is two blocks
+of n turns: the Pell readers on the form's D, whose principal class it is.
 Each benchmark records in `extra_info` the unit edges of the river, or its
 turns for the readers, and its blocks, and the median time per edge (or
 turn) and per block in microseconds.  The forms start on their river, or
@@ -48,7 +48,7 @@ READERS = {
 }
 READER_FORMS = ([pytest.param(principal_form(D), id=f"D{D}") for D in DISCS]
                 + [pytest.param(QuadForm(1, 10 ** k, -1), id=f"n1e{k}")
-                   for k in (3, 4, 5)])
+                   for k in (3, 4, 5, 6)])
 
 
 def _fibonacci(n):

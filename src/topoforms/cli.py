@@ -13,8 +13,8 @@ from .classnum import (h_neg, h_pos, h_square, hstar_neg, hurwitz, r3,
                        r3_primitive, r3_via_class, r3p_via_class)
 from .exact import DomainError, Surd, finite_float, is_square
 from .forms import QuadForm
-from .reduce import (gauss_cycle, reduce_negative, reduce_simple_cycle,
-                     reduce_square, zagier_cycle)
+from .reduce import (ReductionResult, gauss_cycle, reduce_negative,
+                     reduce_simple_cycle, reduce_square, zagier_cycle)
 from .riverword import (Necklace, h1, necklace_of, negative_pell,
                         pell_fundamental, principal_form,
                         topograph_of_necklace, topograph_of_word, word_of)
@@ -49,40 +49,31 @@ def _emit(ns, doc, plain):
             print(line)
 
 
+# the reducer of each method; "auto" takes negative, square or simple by
+# the discriminant's regime
+_REDUCERS = {"negative": reduce_negative, "square": reduce_square,
+             "simple": reduce_simple_cycle, "gauss": gauss_cycle,
+             "zagier": zagier_cycle}
+
+
 def _cmd_reduce(ns):
     q = _parse_form(ns.form)
     D = q.discriminant()
     method = ns.method
     if method == "auto":
-        if D < 0:
-            method = "negative"
-        elif D > 0 and is_square(D):
-            method = "square"
-        elif D > 0:
-            method = "simple"
-        else:
+        if D == 0:
             raise DomainError("no reduction for discriminant zero")
+        method = ("negative" if D < 0 else "square" if is_square(D)
+                  else "simple")
     doc = {"input": [str(x) for x in q], "discriminant": str(D),
            "method": method}
-    if method == "negative":
-        res = reduce_negative(q)
-        canon = [res.canonical]
-    elif method == "square":
-        res = reduce_square(q)
-        canon = [res.canonical]
-    elif method == "simple":
-        res = reduce_simple_cycle(q)
-        canon = list(res.canonical)
-    elif method == "gauss":
-        canon = list(gauss_cycle(q))
-        res = None
-    else:  # zagier
-        canon = list(zagier_cycle(q))
-        res = None
+    res = _REDUCERS[method](q)  # gauss and zagier give the bare cycle
+    canon = res.canonical if isinstance(res, ReductionResult) else res
+    canon = [canon] if isinstance(canon, QuadForm) else list(canon)
     doc["canonical"] = [[str(x) for x in f] for f in canon]
     plain = [f"discriminant {D}",
              "canonical " + " ".join(repr(f) for f in canon)]
-    if res is not None:
+    if isinstance(res, ReductionResult):
         doc["transform"] = [str(x) for x in res.transform]
         doc["steps"] = _word_str(res.steps)
         plain.append(f"transform {tuple(res.transform)}")
@@ -141,8 +132,9 @@ def _cmd_pell(ns):
 
 def _cmd_necklace(ns):
     if ns.decode is not None:
-        q = topograph_of_necklace(Necklace(ns.decode))
-        doc = {"bits": Necklace(ns.decode).bits, "form": [str(x) for x in q]}
+        n = Necklace(ns.decode)
+        q = topograph_of_necklace(n)
+        doc = {"bits": n.bits, "form": [str(x) for x in q]}
         _emit(ns, doc, [repr(q)])
         return
     if ns.disc is None:
@@ -304,6 +296,11 @@ def _attach_form_values(argv):
 
 def run(argv):
     parser = _build()
+    # a form or a result may have more digits than Python's int/str limit
+    # (4,300 by default, since 3.10.7; 0 is none): lift it for the call
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         ns = parser.parse_args(_attach_form_values(argv))
         if not getattr(ns, "fn", None):
@@ -317,6 +314,9 @@ def run(argv):
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def main():

@@ -160,7 +160,7 @@ def gauss_step(q):
     s = _stepping_isqrt(q, "gauss_step")
     a, b, c = q
     # k = sgn(c) floor((b + sqrt(D)) / (2|c|)), and q | (0 -1; 1 k)
-    k = floor_root(b, 1, 2 * abs(c), s) * (1 if c > 0 else -1)
+    k = floor_root(b, 2 * abs(c), s) * (1 if c > 0 else -1)
     return QuadForm(c, 2 * c * k - b, (c * k - b) * k + a)
 
 
@@ -169,7 +169,7 @@ def zagier_step(q):
     a, b, c = q
     # k = ceil((b + sqrt(D)) / (2a)), where (b + sqrt(D)) / (2a) is
     # irrational, and q | (k 1; -1 0)
-    k = floor_root(b, 1, 2 * a, s) + 1
+    k = floor_root(b, 2 * a, s) + 1
     return QuadForm(a * k * k - b * k + c, 2 * a * k - b, a)
 
 

@@ -19,11 +19,8 @@ class PellSolution:
     sign: int  # +4 or -4
 
 
-_SWITCH = {"0": "1", "1": "0"}
-
-
 def _least_rotation(word):
-    """The least rotation of a word, in linear time: the start of the last
+    """The least rotation of a sequence, in linear time: the start of the last
     Lyndon factor (Duval) of the doubled word that begins in its first half."""
     n = len(word)
     s = word + word
@@ -40,10 +37,12 @@ def _least_rotation(word):
 
 
 class Necklace:
-    """A cyclic binary word (0=L, 1=R), stored as its least rotation;
-    must be primitive (not a power of a shorter word) and of length >= 2."""
+    """A cyclic binary word (0=L, 1=R), primitive (not a power of a shorter
+    word) and of length >= 2, kept as the runs of its least rotation: -k for
+    k 0s, k for k 1s.  Rotations that start at runs of 0s, the least among
+    them, compare run by run as their bits do."""
 
-    __slots__ = ("bits",)
+    __slots__ = ("runs",)
 
     def __init__(self, bits):
         bits = str(bits)
@@ -53,16 +52,24 @@ class Necklace:
             raise DomainError("necklace bits must be 0/1")
         if (bits + bits).find(bits, 1) != len(bits):
             raise DomainError("necklace must be non-repeating")
-        self.bits = _least_rotation(bits)
+        runs = [len(list(r)) if b == "1" else -len(list(r))
+                for b, r in groupby(bits)]
+        if bits[0] == bits[-1]:  # the last run wraps onto the first
+            runs[0] += runs.pop()
+        self.runs = _least_rotation(tuple(runs))
+
+    @property
+    def bits(self):
+        return "".join("0" * -k if k < 0 else "1" * k for k in self.runs)
 
     def __eq__(self, other):
-        return isinstance(other, Necklace) and self.bits == other.bits
+        return isinstance(other, Necklace) and self.runs == other.runs
 
     def __hash__(self):
-        return hash(("necklace", self.bits))
+        return hash(("necklace", self.runs))
 
     def __len__(self):
-        return len(self.bits)
+        return sum(map(abs, self.runs))
 
     def __repr__(self):
         return self.bits
@@ -181,21 +188,19 @@ def necklace_of(x):
     else:
         _check_real(x)
         x = principal_form(x)
-    return Necklace("".join(("0" if c == "L" else "1") * k
-                            for c, k, _ in period_blocks(x)))
-
-
-def _bits_matrix(bits):
-    # the product of the turns 0 = L and 1 = R, one block per run
-    return turn_sequence_matrix([("L" if bit == "0" else "R", len(list(run)))
-                                 for bit, run in groupby(bits)])
+    # a river period alternates its letters and is primitive
+    n = object.__new__(Necklace)
+    n.runs = _least_rotation(tuple(-k if c == "L" else k
+                                   for c, k, _ in period_blocks(x)))
+    return n
 
 
 def topograph_of_necklace(n):
     """Primitive simple form whose river period reads the given necklace."""
     if not isinstance(n, Necklace):
         n = Necklace(n)
-    al, be, ga, de = _bits_matrix(n.bits)
+    al, be, ga, de = turn_sequence_matrix([("L", -k) if k < 0 else ("R", k)
+                                           for k in n.runs])
     g = gcd(gcd(ga, de - al), be)
     return QuadForm(ga // g, (de - al) // g, -be // g)
 
@@ -226,31 +231,27 @@ def topograph_of_word(w):
         return QuadForm(0, 1, 1)
     if set(w) - {"0", "1"}:
         raise DomainError("word bits must be 0/1")
-    _, m, _, r = _bits_matrix("0" + w + "0")
+    _, m, _, r = turn_sequence_matrix([("LR"[int(b)], len(list(run)))
+                                       for b, run in groupby("0" + w + "0")])
     return QuadForm(0, m, r)
 
 
 # ------------------------------------------------------------------- symmetry
 
 def symmetry(q):
-    """Flags {q~q*, q~-q, q~-q*} read off the river sequence."""
+    """Flags {q~q*, q~-q, q~-q*}: whether q* = [a, -b, c], -q and -q* have
+    q's class code, its river necklace, or its word for square D."""
     if q.content() != 1:
         raise DomainError("symmetry needs a primitive form")
     D = q.discriminant()
     if D <= 0:
         raise DomainError("symmetry is read from a river; needs D > 0")
-    if is_square(D):
-        w = word_of(q)
-        if not w:
-            return {"q~q*": True, "q~-q": True, "q~-q*": True}
-        rev = w[::-1]
-        sw = "".join(_SWITCH[c] for c in w)
-        return {"q~q*": w == rev, "q~-q": w == sw[::-1], "q~-q*": w == sw}
-    bits = necklace_of(q).bits
-    rev = _least_rotation(bits[::-1])
-    sw = _least_rotation("".join(_SWITCH[c] for c in bits))
-    revsw = _least_rotation("".join(_SWITCH[c] for c in bits)[::-1])
-    return {"q~q*": rev == bits, "q~-q": revsw == bits, "q~-q*": sw == bits}
+    code = word_of if is_square(D) else necklace_of
+    a, b, c = q
+    w = code(q)
+    return {"q~q*": code(QuadForm(a, -b, c)) == w,
+            "q~-q": code(QuadForm(-a, -b, -c)) == w,
+            "q~-q*": code(QuadForm(-a, b, -c)) == w}
 
 
 def h1(D):

@@ -274,11 +274,9 @@ def is_reduced_neg(q):
     return abs(b) <= a <= c and not ((abs(b) == a or a == c) and b < 0)
 
 
-def floor_root(p, sign, r, s):
-    """floor((p + sign * sqrt(D)) / r) for non-square D with s = isqrt(D)."""
-    if r < 0:
-        p, sign, r = -p, -sign, -r
-    return (p + s) // r if sign > 0 else (p - s - 1) // r
+def floor_root(p, r, s):
+    """floor((p + sqrt(D)) / r) for non-square D with s = isqrt(D)."""
+    return (p + s) // r if r > 0 else (-p - s - 1) // -r
 
 
 def _block(a, b, c, letter, k):

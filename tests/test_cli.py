@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
+import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from topoforms.cli import run
 
@@ -193,3 +197,118 @@ def test_reduce_cycle_domain_errors(capsys, form, method, js):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"domain error: {method}_step needs non-square D > 0\n"
+
+
+# Python limits int/str conversions to 4,300 digits by default (3.10.7 on)
+
+_PAST_THE_DIGIT_LIMIT = [
+    ["word", "--decode", "01" * 11000, "--json"],
+    ["necklace", "--decode", "0" + "01" * 11000, "--json"],
+    ["reduce", "--form", "1" + "0" * 5000 + ",1,1", "--json"],
+]
+
+
+@pytest.mark.parametrize("argv", _PAST_THE_DIGIT_LIMIT)
+def test_past_the_digit_limit(capsys, argv):
+    doc = _json_out(capsys, argv)
+    forms = doc.get("canonical", []) + [doc.get("form", doc.get("input"))]
+    assert max(len(x) for f in forms for x in f) > 4300
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int/str digit limit")
+@pytest.mark.parametrize("argv,code", [
+    (["classnum", "--disc", "-23"], 0),
+    (["reduce", "--form", "1,2"], 1),
+    (["word", "--disc", "5"], 2),
+])
+def test_run_keeps_the_callers_digit_limit(capsys, argv, code):
+    before = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(5000)
+        assert run(argv) == code
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(before)
+    capsys.readouterr()
+
+
+# Any argv: an exit code of 0, 1 or 2 with its output or message.  Values
+# stay within bounds where nothing bounds the work yet (series depth and
+# radius, r3's n, the size of a discriminant).
+
+def _mostly(values, other):
+    # values nine times in ten, other the tenth
+    return st.integers(0, 9).flatmap(lambda i: other if i == 0 else values)
+
+
+def _opt(flag, values=None):
+    # a switch, or the flag with a drawn value; either may be left out
+    if values is None:
+        return st.sampled_from([[], [flag]])
+    return st.just([]) | values.map(lambda v: [flag, str(v)])
+
+
+def _req(flag, values):
+    # a flag the subcommand needs, mostly given
+    return _mostly(values.map(lambda v: [flag, str(v)]), st.just([]))
+
+
+def _command(name, *options):
+    # the subcommand and its drawn options, in a drawn order
+    return st.tuples(_opt("--json"), *options).flatmap(
+        lambda opts: st.permutations([o for o in opts if o]).map(
+            lambda opts: [name] + [x for o in opts for x in o]))
+
+
+_COEF = st.integers(-1000, 1000)
+_FORM = _mostly(st.tuples(_COEF, _COEF, _COEF).map(
+    lambda f: ",".join(map(str, f))), st.text("0123456789,-x ", max_size=12))
+_DISC = st.integers(-10 ** 4, 10 ** 4)
+_BITS = _mostly(st.text("01", max_size=40), st.text("012 ", max_size=6))
+_THEOREMS = ("mik", "mt", "mt2", "sq", "sq2", "hurwitz", "eisenstein")
+_ARGV = st.one_of(
+    _command("reduce", _req("--form", _FORM),
+             _opt("--method", st.sampled_from(
+                 ("auto", "gauss", "zagier", "simple", "negative", "square",
+                  "other")))),
+    _command("classnum", _req("--disc", _DISC), _opt("--star"),
+             _opt("--hurwitz")),
+    _command("pell", _req("--disc", _DISC)),
+    _command("necklace", _opt("--disc", _DISC), _opt("--decode", _BITS)),
+    _command("word", _opt("--disc", _DISC), _opt("--decode", _BITS)),
+    _command("river", _req("--form", _FORM)),
+    _command("topograph", _req("--form", _FORM),
+             _opt("--depth", st.integers(-2, 4)),
+             _opt("--format", st.sampled_from(("dot", "json", "svg")))),
+    _command("series", _req("--theorem", st.sampled_from(_THEOREMS)),
+             _req("--disc", _DISC),
+             st.integers(-2, 4).map(lambda d: ["--depth", str(d)]),
+             st.integers(-10, 200).map(lambda r: ["--radius", str(r)])),
+    _command("r3", _req("--n", st.integers(-10, 10 ** 4)),
+             _opt("--primitive"),
+             _opt("--method", st.sampled_from(("brute", "class")))),
+)
+
+
+@given(_ARGV)
+@example(["word", "--decode", "01" * 11000, "--json"])
+@example(["necklace", "--decode", "0" + "01" * 11000, "--json"])
+@example(["necklace", "--decode", "01" * 11000, "--json"])
+@settings(max_examples=300, deadline=None)
+def test_any_argv_exits_0_1_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().startswith(("usage error:", "domain error:"))
+        return
+    assert out.getvalue()
+    # topograph prints JSON by --format json; --json does not change it
+    if argv[0] == "topograph":
+        as_json = ("--format", "json") in zip(argv, argv[1:])
+    else:
+        as_json = "--json" in argv
+    if as_json:
+        json.loads(out.getvalue())

@@ -1,16 +1,69 @@
+import time
+from itertools import groupby, product
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from topoforms.exact import DomainError, Surd
-from topoforms.forms import QuadForm, act
+from topoforms.exact import DomainError, Surd, is_square
+from topoforms.forms import QuadForm, act, turn_sequence_matrix
 from topoforms.riverword import (Necklace, aut_structure, automorph_generator,
                                  epsilon, epsilon_star, h1, necklace_of,
                                  negative_pell, pell_fundamental,
                                  principal_form, river_period, symmetry,
                                  topograph_of_necklace, topograph_of_word,
                                  word_of)
+from topoforms.topograph import period_blocks
+
+
+# ------------------------------------------------------------- reference
+# the bit-string algebra necklaces and symmetry flags were read with before
+# they became runs and class codes, with least rotations by trying each one
+
+def _least(bits):
+    return min(bits[i:] + bits[:i] for i in range(len(bits)))
+
+
+def ref_necklace_bits(bits):
+    """A necklace's bits: its least rotation as a string, refused as
+    Necklace refuses it."""
+    if len(bits) < 2:
+        raise DomainError("necklace needs length >= 2")
+    if set(bits) - {"0", "1"}:
+        raise DomainError("necklace bits must be 0/1")
+    if (bits + bits).find(bits, 1) != len(bits):
+        raise DomainError("necklace must be non-repeating")
+    return _least(bits)
+
+
+def _period_bits(q):
+    return "".join(("0" if c == "L" else "1") * k
+                   for c, k, _ in period_blocks(q))
+
+
+def ref_symmetry(q):
+    """The flags from words reversed, letters switched one by one and
+    necklaces rotated least."""
+    switch = {"0": "1", "1": "0"}
+    if is_square(q.discriminant()):
+        w = word_of(q)
+        if not w:
+            return {"q~q*": True, "q~-q": True, "q~-q*": True}
+        rev = w[::-1]
+        sw = "".join(switch[c] for c in w)
+        return {"q~q*": w == rev, "q~-q": w == sw[::-1], "q~-q*": w == sw}
+    bits = ref_necklace_bits(_period_bits(q))
+    rev = _least(bits[::-1])
+    sw = _least("".join(switch[c] for c in bits))
+    revsw = _least("".join(switch[c] for c in bits)[::-1])
+    return {"q~q*": rev == bits, "q~-q": revsw == bits, "q~-q*": sw == bits}
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
 
 
 def test_necklace_canonical_rotation():
@@ -24,25 +77,66 @@ def test_necklace_canonical_rotation():
         Necklace("012")
 
 
-def _ref_necklace_bits(bits):
-    """The least rotation by trying every rotation, None for a power."""
-    n = len(bits)
-    if any(n % d == 0 and bits == bits[:d] * (n // d) for d in range(1, n)):
-        return None
-    return min(bits[i:] + bits[:i] for i in range(n))
-
-
 @given(st.text("01", min_size=1, max_size=12), st.integers(1, 4))
 @settings(max_examples=300)
 def test_necklace_matches_rotation_search(root, power):
     # powers of a shorter word must be refused, whatever their root
     bits = root * power
-    want = _ref_necklace_bits(bits)
-    if len(bits) < 2 or want is None:
-        with pytest.raises(DomainError):
-            Necklace(bits)
-    else:
-        assert Necklace(bits).bits == want
+    assert (_outcome(lambda b: Necklace(b).bits, bits)
+            == _outcome(ref_necklace_bits, bits))
+
+
+def test_necklace_runs_every_short_word():
+    # every word of length <= 14, refusals included
+    words = ["".join(w) for n in range(15) for w in product("01", repeat=n)]
+    for bits in words:
+        assert (_outcome(lambda b: Necklace(b).bits, bits)
+                == _outcome(ref_necklace_bits, bits)), bits
+
+
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=12),
+       st.integers(0, 30))
+@settings(max_examples=300)
+def test_necklace_runs_match_bits(runs, shift):
+    # a word of alternate runs of 0s and 1s, rotated by shift bits
+    bits = "".join(("0" if i % 2 == 0 else "1") * k
+                   for i, k in enumerate(runs))
+    shift %= len(bits)
+    bits = bits[shift:] + bits[:shift]
+    want = _outcome(ref_necklace_bits, bits)
+    n = _outcome(Necklace, bits)
+    if want.startswith("DomainError"):
+        assert n == want
+        return
+    assert n.bits == want and repr(n) == want and len(n) == len(bits)
+    assert n.runs == tuple(len(list(r)) * (1 if b == "1" else -1)
+                           for b, r in groupby(want))
+    assert n == Necklace(want) and hash(n) == hash(Necklace(want))
+    # the product of the runs is the product of the bits' turns
+    al, be, ga, de = turn_sequence_matrix([("LR"[int(b)], 1) for b in want])
+    g = gcd(gcd(ga, de - al), be)
+    assert topograph_of_necklace(n) == QuadForm(ga // g, (de - al) // g,
+                                                -be // g)
+
+
+def test_necklace_of_matches_bits_reference():
+    for D in range(5, 3000):
+        if D % 4 in (0, 1) and not is_square(D):
+            want = ref_necklace_bits(_period_bits(principal_form(D)))
+            assert necklace_of(D).bits == want, D
+
+
+def test_long_river_necklace_and_symmetry():
+    # two runs of 2^28 + 1 turns: O(runs), not O(turns)
+    q = QuadForm(1, 2 ** 28 + 1, -1)
+    t0 = time.perf_counter()
+    n = necklace_of(q)
+    t1 = time.perf_counter()
+    flags = symmetry(q)
+    t2 = time.perf_counter()
+    assert n.runs == (-(2 ** 28 + 1), 2 ** 28 + 1)
+    assert flags == {"q~q*": True, "q~-q": True, "q~-q*": True}
+    assert t1 - t0 < 1 and t2 - t1 < 1
 
 
 def test_principal_form():
@@ -198,6 +292,27 @@ def test_symmetry_flags():
     assert all(s.values())
     with pytest.raises(DomainError):
         symmetry(QuadForm(1, 0, 1))
+
+
+def test_symmetry_sweep_matches_reference():
+    # every primitive form with D > 0 and coefficients in [-12, 12]
+    count = 0
+    for a, b, c in product(range(-12, 13), repeat=3):
+        q = QuadForm(a, b, c)
+        if q.discriminant() > 0 and q.content() == 1:
+            count += 1
+            assert symmetry(q) == ref_symmetry(q), q
+    assert count == 7996
+
+
+@given(st.just(0) | st.integers(-300, 300), st.integers(-300, 300),
+       st.integers(-300, 300))
+@settings(max_examples=200)
+def test_symmetry_matches_reference(a, b, c):
+    # a = 0 gives a square D = b^2
+    q = QuadForm(a, b, c)
+    assume(q.discriminant() > 0 and q.content() == 1)
+    assert symmetry(q) == ref_symmetry(q)
 
 
 def test_h1():
