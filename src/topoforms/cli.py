@@ -177,7 +177,8 @@ def _cmd_river(ns):
 
 def _cmd_topograph(ns):
     q = _parse_form(ns.form)
-    sys.stdout.write(export(EdgeCursor(q), ns.depth, ns.format))
+    fmt = "json" if ns.json else ns.format
+    sys.stdout.write(export(EdgeCursor(q), ns.depth, fmt))
 
 
 def _cmd_series(ns):

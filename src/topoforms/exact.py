@@ -1,8 +1,8 @@
 """Exact integer, rational and quadratic-surd arithmetic.
 
 Everything downstream (reduction, rivers, Pell) runs on the types in this
-module; no floating point is involved until the series module rounds a
-finished integer expression to a double.
+module; no floating point is involved until the series module rounds
+exact integer labels to doubles.
 """
 
 import math

@@ -7,21 +7,16 @@ Every vertex sum runs on the batch walker of `topograph`: the edge forms
 (a, b, c) of a topograph's levels in numpy arrays, in batches of at most
 _CHUNK edges, the shallow levels whole and the deep ones in depth-first
 slices, each edge with its group; the river sums read their river in
-whole blocks.  Each term equals its value on Python integers, bit for bit:
+whole blocks.  Every term is defined by IEEE 754 basic operations, each
+correctly rounded, so its value depends on no libm and no platform:
 
 - labels are exact integers: int64 while every label of a slice of a level
   is below 2^58, so that every sum a term takes stays inside int64, and
   Python ints from the first level of the slice that reaches it;
-- a term's denominator p, a product of three labels, is rounded to fl(p)
-  once.  In float64 that holds where the product of two factors and the
-  third factor are both below 2^53; every other term is evaluated on
-  Python ints;
-- float(p*p), and float(p) ** 2 and abs(float(p)) ** 3 as the platform pow
-  gives them, come from error-free products.  Where the exact value lies
-  too near a rounding boundary to decide float(p*p), the term is evaluated
-  on Python ints; within 1/16 ulp of one, the power is Python's own pow.
-  Farther away the platform pow is correctly rounded if its error is below
-  0.5625 ulp (glibc bounds it by 0.54 ulp);
+- each label a term takes is rounded to a float once, and its denominator
+  is p = fl(x) fl(y) fl(z), then p p and 3 (p p p), left to right; the
+  same formulas serve both kinds of label.  A label beyond float range,
+  or a denominator that overflows, raises DomainError;
 - each sum is one math.fsum over a fixed group of terms (a level, or a
   hanging tree for the river sums), of parts with the group's exact sum
   (_exact_parts); fsum is correctly rounded, so batches change no bit.
@@ -83,23 +78,7 @@ def _check_depth(depth):
 
 # ------------------------------------------------------------- level terms
 
-_EXACT = 2.0 ** 53  # integers below this are exact in float64
-_POW_MARGIN = 1 / 16  # ulps from a rounding boundary where pow may differ
-_EXPONENT = np.int64(0x7FF0000000000000)  # exponent bits of a float64
-_FRACTION = np.int64(0x000FFFFFFFFFFFFF)  # fraction bits of a float64
 _CHUNK = 1 << 13  # edges per batch of the kernel, to stay in cache
-
-
-def _by_ints(mask, out, term, *cols):
-    """Overwrite the masked columns of the (2, n) term array `out` with
-    the values of `term` on the columns' entries as Python ints."""
-    idx = np.flatnonzero(mask)
-    if idx.size:
-        try:
-            out[:, idx] = np.array([term(*args) for args in zip(
-                *(col[idx].tolist() for col in cols))]).T
-        except OverflowError:
-            raise DomainError("a term passes float range") from None
 
 
 def _exact_parts(t, g=0, parts=None):
@@ -143,111 +122,52 @@ def _group_sums(terms, levels, depth, groups, trees=False):
     depth), and the count of vertices with terms (a first term > 0)."""
     parts = [[] for _ in range(2 * groups)]
     n = 0
-    for g, *labels in _batches(levels, depth, _CHUNK, trees):
-        t = terms(*labels)
-        _exact_parts(t, g, parts)
-        n += int(np.count_nonzero(t[0]))
+    # an overflow raises DomainError in the terms, without a warning
+    with np.errstate(over="ignore"):
+        for g, *labels in _batches(levels, depth, _CHUNK, trees):
+            t = terms(*labels)
+            _exact_parts(t, g, parts)
+            n += int(np.count_nonzero(t[0]))
     sums = [fsum(p) for p in parts]
     return sums[0::2], sums[1::2], n
 
 
-def _halves(x):
-    # Veltkamp split: x = hi + lo with halves of 26 and 27 bits
-    t = 134217729.0 * x
-    hi = t - (t - x)
-    return hi, x - hi
+def _floats(*cols):
+    """The label columns as float64 arrays, each label rounded once."""
+    try:
+        return [col.astype(float) for col in cols]
+    except OverflowError:
+        raise DomainError("a term passes float range") from None
 
 
-def _two_prod(x, y):
-    """x * y = p + e exactly, with p = fl(x * y) (Dekker)."""
-    p = x * y
-    xh, xl = _halves(x)
-    yh, yl = _halves(y)
-    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
-
-
-def _rounded(hi, lo, margin):
-    """fl(hi + lo) for positive hi and |lo| a few ulps of hi, with the
-    mask of the entries within `margin` ulps of a rounding boundary, or at
-    a power of two, where the gaps on either side differ."""
-    out = hi + lo
-    r = lo - (out - hi)  # exact, since |hi| >= |lo|
-    bits = out.view(np.int64)
-    ulp = (bits & _EXPONENT).view(float) * 2.0 ** -52
-    near = np.abs(r) >= (0.5 - margin) * ulp
-    return out, near | ((bits & _FRACTION) == 0)
-
-
-def _product(x, y, z):
-    """fl(x*y) * fl(z) for int64 label arrays, and the mask of the entries
-    where fl(x*y) and fl(z) are exact, so that the product is fl(x*y*z),
-    the one rounding of the exact product."""
-    xy = x.astype(float) * y.astype(float)
-    fz = z.astype(float)
-    return xy, fz, (np.abs(xy) < _EXACT) & (np.abs(fz) < _EXACT)
-
-
-def _powers(x):
-    """x ** 2 and x ** 3 for a float array x >= 0, entry by entry equal to
-    Python's float power, which is the platform pow."""
-    sq, sq_lo = _two_prod(x, x)
-    cu, cu_lo = _two_prod(sq, x)
-    cu_lo += sq_lo * x  # x^3 = cu + cu_lo, up to 2^-100 relative
-    out = []
-    for n, hi, lo in ((2, sq, sq_lo), (3, cu, cu_lo)):
-        val, near = _rounded(hi, lo, _POW_MARGIN)
-        idx = np.flatnonzero(near)
-        if idx.size:
-            val[idx] = [v ** n for v in x[idx].tolist()]
-        out.append(val)
-    return out
-
-
-def _definite_term(a, c, h):
-    p = a * c * h
-    return 1.0 / abs(p), abs(a + c + h) / float(p * p)
+def _finite(d):
+    """The denominator array d >= 0, if no entry of it overflowed."""
+    if d.max(initial=0.0) == math.inf:
+        raise DomainError("a term passes float range")
+    return d
 
 
 def _definite_terms(a, b, c):
-    """1/|p| and |a+c+h|/p^2 with p = a*c*h at the head vertex (a, c, h),
+    """1/|p| and |a+c+h|/(p p) with p = a c h at the head vertex (a, c, h),
     h = a+b+c, of each edge (a, b, c): the terms of the definite sums."""
     h = a + b + c
+    fa, fc, fh, s = _floats(a, c, h, a + c + h)
+    p = np.abs(fa * fc * fh)
     t = np.empty((2, len(a)))
-    slow = np.ones(len(a), dtype=bool)
-    if a.dtype != object:
-        ac, fh, ok = _product(a, c, h)
-        p, e = _two_prod(ac, fh)
-        # p^2 = (p + e)^2 = sq + sq_lo + 2pe + e^2 exactly; the float sum
-        # of the last three errs by less than 2^-50 ulp, far inside 2^-30
-        sq, sq_lo = _two_prod(p, p)
-        p2, near = _rounded(sq, sq_lo + (2 * p * e + e * e), 2.0 ** -30)
-        t[0] = 1.0 / np.abs(p)
-        t[1] = np.abs(a + c + h).astype(float) / p2
-        # with e == 0, sq + sq_lo is p^2 exactly and its one rounding fl(p^2)
-        slow = ~ok | (near & (e != 0))
-    _by_ints(slow, t, _definite_term, a, c, h)
+    np.divide(1.0, p, out=t[0])
+    np.divide(np.abs(s), _finite(p * p), out=t[1])
     return t
 
 
-def _edge_term(k, x, y, z, s):
-    p = x * y * z
-    return (k[0] / abs(p),
-            k[1] * abs(s) / float(p) ** 2 + k[2] / (3 * abs(float(p)) ** 3))
-
-
 def _edge_terms(x, y, z, s, k):
-    """k1/|p| and k2 |s|/p^2 + k3/(3 |p|^3) with p = x*y*z, for label
+    """k1/|p| and k2 |s|/(p p) + k3/(3 (p p p)) with p = x y z, for label
     arrays: the edge terms of the river and square sums."""
+    fx, fy, fz, fs = _floats(x, y, z, s)
+    p = np.abs(fx * fy * fz)
+    p2 = p * p
     t = np.empty((2, len(x)))
-    slow = np.ones(len(x), dtype=bool)
-    if x.dtype != object:
-        xy, fz, ok = _product(x, y, z)
-        p = np.abs(xy * fz)
-        p2, p3 = _powers(p)
-        t[0] = k[0] / p
-        t[1] = k[1] * np.abs(s).astype(float) / p2 + k[2] / (3 * p3)
-        slow = ~ok
-    _by_ints(slow, t, partial(_edge_term, k), x, y, z, s)
+    np.divide(k[0], p, out=t[0])
+    t[1] = k[1] * np.abs(fs) / p2 + k[2] / _finite(3 * (p2 * p))
     return t
 
 
@@ -340,9 +260,9 @@ def series_pos(q, depth):
         h = a + b + c
         # where the river turns R the L child hangs, and else the R child
         tree = (a, b + 2 * a, h) if h > 0 else (h, b + 2 * c, c)
-        et = abs(tree[1])
+        et = float(abs(tree[1]))
         sums1.append(sqD / et)
-        sums2.append(sqD / et + d32 / (3 * et ** 3))
+        sums2.append(sqD / et + d32 / (3 * (et * et * et)))
         hanging.append(tree)
     # the hanging trees as one forest, a group each; `depth` counts edges
     # beyond the hanging edge, so depth 0 has the tree's head vertex
@@ -360,10 +280,6 @@ def series_pos(q, depth):
 
 # ------------------------------------------------------------- square sums
 
-def _hanging_term(m, m3, et):
-    return m / et, m / et + m3 / (3 * et ** 3)
-
-
 def _square_terms(m, a, b, c):
     """The square sums' terms at the head vertex (r1, r2, r3) = (a, c, h),
     h = a+b+c, of each edge (a, b, c), 0 at a lake vertex (a zero label).
@@ -371,32 +287,22 @@ def _square_terms(m, a, b, c):
     with the river edges relabeled by sqrt(D) = m.  Any other vertex counts
     the edge term of e, f, g = r2+r3-r1, r1+r3-r2, r1+r2-r3."""
     m3 = float(m ** 3)
-    r = (a, c, a + b + c)
-    lake = (r[0] == 0) | (r[1] == 0) | (r[2] == 0)
-    neg = sum((x < 0).astype(np.int64) for x in r)
-    river = np.flatnonzero(~lake & (neg % 3 != 0))
-    # the edge term on labels 1 at the few lake and river vertices
-    y1, y2, y3 = (np.where(lake | (neg % 3 != 0), 1, x) for x in r)
-    e = y2 + y3 - y1
-    f = y1 + y3 - y2
-    g = y1 + y2 - y3
+    r1, r2, r3 = a, c, a + b + c
+    e, f, g = r2 + r3 - r1, r1 + r3 - r2, r1 + r2 - r3
+    n1, n2, n3 = r1 < 0, r2 < 0, r3 < 0
+    lake = (r1 == 0) | (r2 == 0) | (r3 == 0)
+    river = ~lake & ((n1 != n2) | (n1 != n3))
+    # the hanging edge is the out label opposite the odd one out, the
+    # region whose sign the other two do not share
+    et = np.where(n2 == n3, e, np.where(n1 == n3, f, g))[river]
+    x, = _floats(np.abs(et))
+    # the edge term on out labels 1 at the few lake and river vertices
+    e, f, g = (np.where(lake | river, 1, y) for y in (e, f, g))
     t = _edge_terms(e, f, g, e + f + g, (m3, float(m ** 5), float(m ** 9)))
-    t[:, np.flatnonzero(lake)] = 0.0
-    x1, x2, x3 = (x[river] for x in r)
-    # the odd one out: the only negative label, or the only positive one
-    odd = np.where(neg[river] == 1, np.minimum(np.minimum(x1, x2), x3),
-                   np.maximum(np.maximum(x1, x2), x3))
-    et = np.abs(x1 + x2 + x3 - 2 * odd)
-    u = np.empty((2, len(et)))
-    slow = np.ones(len(et), dtype=bool)
-    if et.dtype != object and m < _EXACT:
-        x = et.astype(float)
-        u[0] = m / x
-        # one rounding, fl(3 et^3), while 3 et^2 < 2^53
-        u[1] = u[0] + m3 / (3 * x * x * x)
-        slow = et >= 1 << 25
-    _by_ints(slow, u, partial(_hanging_term, m, m3), et)
-    t[:, river] = u
+    t[:, lake] = 0.0
+    u = float(m) / x
+    t[0, river] = u
+    t[1, river] = u + m3 / _finite(3 * (x * x * x))
     return t
 
 
@@ -555,9 +461,8 @@ def eisenstein_check(g=1, radius=10000):
         x, y = np.concatenate((x, x + y)), np.concatenate((x + y, y))
     n = np.concatenate(levels)
     gn = n * g if g * cutoff2 < _LABEL_MAX else n.astype(object) * g
-    # float(g n) ** 2 is the platform pow, as _powers gives it
-    sq, _ = _powers(gn.astype(float))
-    lhs = 1.0 + fsum(_exact_parts((float(g * g) / sq)[None, :])[0])
+    x = gn.astype(float)
+    lhs = 1.0 + fsum(_exact_parts((float(g * g) / (x * x))[None, :])[0])
     # rhs: a quarter of the sum over the nonzero coprime lattice points
     # within the radius, the four on the axes giving the 1
     rhs = 1.0 + _coprime_lattice_sum(radius)

@@ -12,6 +12,7 @@ which count their items in `turns`; `period_blocks` joins its whole runs.
 """
 
 import operator
+import sys
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -780,19 +781,52 @@ class RiverEdges(_RiverView):
                                            node(prefix, "R", j)))
 
 
+def _repeat(item, k):
+    """item k times: repeat() alone takes k below 2^63 only."""
+    if k <= sys.maxsize:
+        return repeat(item, k)
+    return chain.from_iterable(repeat(item, min(k - n, sys.maxsize))
+                               for n in range(0, k, sys.maxsize))
+
+
 class RiverWord(_RiverView):
     """The L/R letters a river takes along its edges: a read-only sequence
-    view over its blocks."""
+    view over its blocks, searched and counted block by block."""
 
     __slots__ = ()
 
     def _item(self, i, j):
         return self._runs.letters[i]
 
-    def __iter__(self):
+    def _letters(self, spans):
         letters = self._runs.letters
-        return chain.from_iterable(repeat(letters[i], j1 - j0)
-                                   for i, j0, j1 in self._spans())
+        return chain.from_iterable(_repeat(letters[i], j1 - j0)
+                                   for i, j0, j1 in spans)
+
+    def __iter__(self):
+        return self._letters(self._spans())
+
+    def __reversed__(self):
+        return self._letters(reversed([*self._spans()]))
+
+    def __contains__(self, letter):
+        letters = self._runs.letters
+        return any(letters[i] == letter for i, _, _ in self._spans())
+
+    def count(self, letter):
+        letters = self._runs.letters
+        return sum(j1 - j0 for i, j0, j1 in self._spans()
+                   if letters[i] == letter)
+
+    def index(self, letter, start=0, stop=None):
+        # start and stop as a slice takes them, past len()'s range too
+        start, stop, _ = slice(start, stop).indices(self._len)
+        letters, offsets = self._runs.letters, self._runs.offsets
+        for i, j0, _ in RiverWord(self._runs, self._lo + start,
+                                  self._lo + stop)._spans():
+            if letters[i] == letter:
+                return offsets[i] + j0 - self._lo
+        raise ValueError(f"{letter!r} is not in the river word")
 
 
 def find_river(q):

@@ -136,16 +136,17 @@ def test_sums_do_not_depend_on_the_chunk(monkeypatch, size):
 # ------------------------------------------------------------ float range
 
 def _largest_c():
-    # the largest c with float((c (c + 1))^2) finite: p = c (c + 1) is the
-    # product at the head of level 0 of [1, 0, c]
+    # the largest c with p p finite for p = fl(1) fl(c) fl(c + 1), left to
+    # right, as the terms take it: p is the product at the head of level 0
+    # of [1, 0, c]
     lo, hi = 1, 1 << 300
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        try:
-            float((mid * (mid + 1)) ** 2)
-            lo = mid
-        except OverflowError:
+        p = 1.0 * float(mid) * float(mid + 1)
+        if math.isinf(p * p):
             hi = mid
+        else:
+            lo = mid
     return lo
 
 

@@ -305,10 +305,5 @@ def test_any_argv_exits_0_1_or_2(argv):
         assert err.getvalue().startswith(("usage error:", "domain error:"))
         return
     assert out.getvalue()
-    # topograph prints JSON by --format json; --json does not change it
-    if argv[0] == "topograph":
-        as_json = ("--format", "json") in zip(argv, argv[1:])
-    else:
-        as_json = "--json" in argv
-    if as_json:
+    if "--json" in argv:
         json.loads(out.getvalue())

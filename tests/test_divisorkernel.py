@@ -131,7 +131,8 @@ def ref_eisenstein_lhs(g, radius):
         n = x * x + y * y
         if n > cutoff2:
             continue
-        terms.append(g2 / float(g * n) ** 2)
+        gn = float(g * n)
+        terms.append(g2 / (gn * gn))
         stack.append((x, x + y))
         stack.append((x + y, y))
     return 1.0 + fsum(terms)

@@ -197,7 +197,7 @@ GROUPS = {
         "2fc6bd9a6a5f7dd6ebc5cc51ad88a135e41011f98f16627aad2435ac767670b6"),
     "cli": (
         _cli, 80,
-        "439a8161226fdb56c215d6d8acf232d2cf2833d887813bfa6a34c95f8d627127"),
+        "f25f44897f11f85cbb4c343e8abe6216f0d829d96e6f8de9daacd53039eac966"),
 }
 
 

@@ -3,10 +3,12 @@ replaced.
 
 The reference functions below are the former pure-Python level-order loops
 of `series._neg_scan`, `series_pos` and `series_square`, with exact integer
-labels and one float rounding per term.  The kernel must reproduce their
-values and term counts bit for bit, on the int64 path, on its Python-int
-fallbacks (products beyond 2^53, labels beyond int64) and on forms moved far
-from their reduced representative.
+labels, whose terms are taken by the scalar references `ref_definite_term`,
+`ref_edge_term` and `ref_hanging_term`: IEEE basic operations on Python
+floats, which are the same correctly rounded operations as numpy's.  The
+kernel must reproduce their values and term counts bit for bit, on int64
+labels, on labels whose products pass 2^53, on labels beyond int64 and on
+forms moved far from their reduced representative.
 """
 
 import math
@@ -18,13 +20,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from topoforms import series
-from topoforms.exact import Surd, is_square, isqrt
+from topoforms.exact import DomainError, Surd, is_square, isqrt
 from topoforms.forms import QuadForm
 from topoforms.reduce import reduce_simple_cycle, reduce_square, zstar_forms
 from topoforms.riverword import epsilon, principal_form
-from topoforms.series import (W1, W2, SeriesReport, hurwitz_series,
-                              root_product, series_neg, series_neg_profile,
-                              series_pos, series_seed, series_square)
+from topoforms.series import (W1, W2, SeriesReport, eisenstein_check,
+                              hurwitz_series, root_product, series_neg,
+                              series_neg_profile, series_pos, series_seed,
+                              series_square)
 from topoforms.topograph import _labels, _levels, find_river
 
 _MOVES = {
@@ -44,14 +47,43 @@ def _moved(form, word):
 
 # ------------------------------------------------------------- reference
 
+def _denominator(d):
+    # the kernel refuses a denominator that overflows
+    if math.isinf(d):
+        raise DomainError("a term passes float range")
+    return d
+
+
+def ref_product(x, y, z):
+    """|p| = |fl(x) fl(y) fl(z)|, left to right, for labels x, y, z."""
+    return abs(float(x) * float(y) * float(z))
+
+
+def ref_definite_term(a, c, h):
+    p = ref_product(a, c, h)
+    return 1.0 / p, abs(float(a + c + h)) / _denominator(p * p)
+
+
+def ref_edge_term(k, x, y, z, s):
+    p = ref_product(x, y, z)
+    cube = _denominator(3 * (p * p * p))
+    return k[0] / p, k[1] * abs(float(s)) / (p * p) + k[2] / cube
+
+
+def ref_hanging_term(m, m3, et):
+    x = float(et)
+    return float(m) / x, float(m) / x + m3 / _denominator(3 * (x * x * x))
+
+
 def ref_neg_scan(q, checkpoints):
     q = -q if q.a < 0 else q
     maxdepth = max(checkpoints)
     want = set(checkpoints)
     a, b, c = q
     t = a - b + c
-    level1 = [1.0 / abs(a * c * t)]
-    level2 = [abs(a + c + t) / float((a * c * t) ** 2)]
+    first, second = ref_definite_term(a, c, t)
+    level1 = [first]
+    level2 = [second]
     out = {}
     fa = [a, c, t]
     fb = [b, -b + 2 * c, -b + 2 * a]
@@ -62,9 +94,9 @@ def ref_neg_scan(q, checkpoints):
         t1, t2 = [], []
         for a, b, c in zip(fa, fb, fc):
             h = a + b + c
-            p = a * c * h
-            t1.append(1.0 / abs(p))
-            t2.append(abs(a + c + h) / float(p * p))
+            first, second = ref_definite_term(a, c, h)
+            t1.append(first)
+            t2.append(second)
             na += [a, h]
             nb += [b + 2 * a, b + 2 * c]
             nc += [h, c]
@@ -93,9 +125,9 @@ def ref_series_pos(q, depth):
             ta, tb, tc = a, b + 2 * a, h
         else:
             ta, tb, tc = h, b + 2 * c, c
-        et = abs(tb)
+        et = float(abs(tb))
         sums1.append(sqD / et)
-        sums2.append(sqD / et + d32 / (3 * et ** 3))
+        sums2.append(sqD / et + d32 / (3 * (et * et * et)))
         terms += 1
         fa, fb, fc = [ta], [tb], [tc]
         t1, t2 = [], []
@@ -104,10 +136,10 @@ def ref_series_pos(q, depth):
             for a, b, c in zip(fa, fb, fc):
                 f = b + 2 * a
                 g = b + 2 * c
-                p = b * f * g
-                t1.append(d32 / abs(p))
-                t2.append(d52 * abs(b + 2 * a + 2 * c) / float(p) ** 2
-                          + d92 / (3 * abs(float(p)) ** 3))
+                first, second = ref_edge_term((d32, d52, d92), b, f, g,
+                                              f + 2 * c)
+                t1.append(first)
+                t2.append(second)
                 na += [a, a + b + c]
                 nb += [f, g]
                 nc += [a + b + c, c]
@@ -132,15 +164,11 @@ def ref_square_vertex(m, r1, r2, r3):
             odd = min(x for x in (r1, r2, r3) if x < 0)
         else:
             odd = max(x for x in (r1, r2, r3) if x > 0)
-        et = abs((r1 + r2 + r3) - 2 * odd)
-        return m / et, m / et + m3 / (3 * et ** 3)
+        return ref_hanging_term(m, m3, abs((r1 + r2 + r3) - 2 * odd))
     e = r2 + r3 - r1
     f = r1 + r3 - r2
     g = r1 + r2 - r3
-    p = e * f * g
-    return (m3 / abs(p),
-            m5 * abs(e + f + g) / float(p) ** 2
-            + m9 / (3 * abs(float(p)) ** 3))
+    return ref_edge_term((m3, m5, m9), e, f, g, e + f + g)
 
 
 def ref_series_square(q, depth):
@@ -262,10 +290,10 @@ def test_series_neg_profile_deep_levels():
         assert series_neg_profile(q, [19, 20]) == want, q
 
 
-def test_deep_level_terms_take_the_fallback():
-    # level 19 of D = -20: the kernel's terms equal the scalar loop's on
-    # every edge whose product leaves float64's exact range and on a sample
-    # of the rest
+def test_deep_level_terms_match_the_scalar_reference():
+    # level 19 of D = -20: the kernel's terms equal the scalar reference's
+    # on every edge whose product leaves float64's exact range and on a
+    # sample of the rest
     a, b, c = 1, 0, 5
     t = a - b + c
     levels = _levels([a, c, t], [b, -b + 2 * c, -b + 2 * a], [c, t, a])
@@ -273,12 +301,13 @@ def test_deep_level_terms_take_the_fallback():
         pass
     fa, fb, fc = level
     h = fa + fb + fc
-    _, _, ok = series._product(fa, fc, h)
-    assert 0 < (~ok).sum() < len(ok)
-    pick = np.concatenate((np.flatnonzero(~ok)[:5000],
-                           np.arange(0, len(ok), 97)))
+    wide = np.abs(fa.astype(float) * fc.astype(float) * h.astype(float)) \
+        >= 2.0 ** 53
+    assert 0 < wide.sum() < len(wide)
+    pick = np.concatenate((np.flatnonzero(wide)[:5000],
+                           np.arange(0, len(wide), 97)))
     got = series._definite_terms(fa[pick], fb[pick], fc[pick])
-    want = [series._definite_term(x, z, x + y + z)
+    want = [ref_definite_term(x, z, x + y + z)
             for x, y, z in zip(*(col[pick].tolist() for col in level))]
     assert got.T.tolist() == [list(w) for w in want]
 
@@ -362,8 +391,7 @@ def test_edge_terms_on_wide_labels():
     for bits in (20, 27, 30, 45, 57, 61, 70):
         cols = _wide_labels(rng, bits)
         got = series._tree_terms(k, *_labels(*cols))
-        want = [series._edge_term(k, b, b + 2 * a, b + 2 * c,
-                                  b + 2 * a + 2 * c)
+        want = [ref_edge_term(k, b, b + 2 * a, b + 2 * c, b + 2 * a + 2 * c)
                 for a, b, c in zip(*cols)]
         assert got.T.tolist() == [list(w) for w in want], bits
 
@@ -373,14 +401,15 @@ def test_definite_terms_on_wide_labels():
     for bits in (10, 20, 27, 30, 57, 61, 70):
         cols = _wide_labels(rng, bits)
         got = series._definite_terms(*_labels(*cols))
-        want = [series._definite_term(a, c, a + b + c)
+        want = [ref_definite_term(a, c, a + b + c)
                 for a, b, c in zip(*cols)]
         assert got.T.tolist() == [list(w) for w in want], bits
 
 
 def test_definite_terms_near_rounding_boundaries():
     # p = 2^j (2^54 + 1) and 2^j (2^54 - 1) are not floats, and p^2 lies
-    # within 2^-50 ulp of a rounding boundary: fl(p^2) needs the exact p
+    # within 2^-50 ulp of a rounding boundary: the terms take fl(p), then
+    # fl(fl(p)^2), where the exact p would give fl(p^2)
     cols = [], [], []
     for j in range(12):
         for c, h in ((262145, 68719214593), (2 ** 27 - 1, 2 ** 27 + 1)):
@@ -388,8 +417,11 @@ def test_definite_terms_near_rounding_boundaries():
                 for col, v in zip(cols, (x, z - x - y, y)):
                     col.append(v)
     got = series._definite_terms(*_labels(*cols))
-    want = [series._definite_term(a, c, a + b + c) for a, b, c in zip(*cols)]
+    want = [ref_definite_term(a, c, a + b + c) for a, b, c in zip(*cols)]
     assert got.T.tolist() == [list(w) for w in want]
+    exact = [abs(a + c + a + b + c) / float((a * c * (a + b + c)) ** 2)
+             for a, b, c in zip(*cols)]
+    assert got[1].tolist() != exact
 
 
 def test_square_terms_on_wide_labels():
@@ -438,16 +470,79 @@ def test_series_square_large_m():
 
 # ------------------------------------------------------------- numerics
 
-def test_powers_match_python_pow():
-    rng = np.random.default_rng(3)
-    x = np.abs(np.concatenate((
-        np.floor(np.ldexp(rng.random(200000) + 0.5,
-                          rng.integers(1, 106, 200000))),
-        np.ldexp(rng.random(100000) + 0.5, rng.integers(-300, 300, 100000)),
-        2.0 ** np.arange(-60, 60))))
-    p2, p3 = series._powers(x)
-    assert p2.tolist() == [v ** 2 for v in x.tolist()]
-    assert p3.tolist() == [v ** 3 for v in x.tolist()]
+def test_terms_take_products_not_pow():
+    # labels whose |p|^3 as the platform pow gives it, one rounding,
+    # differs from p p p, two roundings, on part of the entries: the edge
+    # terms take the products, and so does the hanging edge's 3 et^3
+    rng = random.Random(6)
+    k = (1.0, 1.0, 1.0)
+    cols = _wide_labels(rng, 30, 2000)
+    got = series._tree_terms(k, *_labels(*cols))
+    want = [ref_edge_term(k, b, b + 2 * a, b + 2 * c, b + 2 * a + 2 * c)
+            for a, b, c in zip(*cols)]
+    assert got.T.tolist() == [list(w) for w in want]
+    p = [ref_product(b, b + 2 * a, b + 2 * c) for a, b, c in zip(*cols)]
+    assert any(x ** 3 != x * x * x for x in p)
+    et = [abs(x) for x in cols[1]
+          if float(x) ** 3 != float(x) * float(x) * float(x)]
+    assert et
+    # the river vertex (1, -1, et - 2), whose hanging edge is et
+    m = 2 ** 40 + 1
+    got = series._square_terms(m, *_labels([1] * len(et),
+                                           [x - 2 for x in et],
+                                           [-1] * len(et)))
+    assert got.T.tolist() == [list(ref_hanging_term(m, float(m ** 3), x))
+                              for x in et]
+
+
+def _values(result):
+    """The floats of a series result as hex strings, with term counts."""
+    if isinstance(result, SeriesReport):
+        result = (result,)
+    return [(r.value.hex(), r.terms_used) if isinstance(r, SeriesReport)
+            else r.hex() for r in result]
+
+
+def test_no_term_depends_on_pow_or_the_batch_size(monkeypatch):
+    # the sums give the same bits in batches of 64 and of 2^16 edges
+    fib = [1, 1]
+    while len(fib) < 82:
+        fib.append(fib[-1] + fib[-2])
+    calls = [
+        (series_neg, QuadForm(1, 0, 5), 12),
+        # 55-bit labels, which pass 2^58 within the walk
+        (series_neg, _moved((1, 1, 8), ["L", "R"] * 19), 6),
+        (series_pos, series_seed(96), 10),
+        (series_square, series_seed(324), 10),
+        (series_square, QuadForm(0, fib[81], fib[80]), 4),
+        (hurwitz_series, -47, 8),
+        (eisenstein_check, 3, 400),
+    ]
+    got = {}
+    for size in (64, 1 << 16):
+        monkeypatch.setattr(series, "_CHUNK", size)
+        got[size] = [_values(fn(*args)) for fn, *args in calls]
+    assert got[64] == got[1 << 16]
+    # the terms equal the scalar reference on labels above 2^53, as int64
+    # and, from 2^58 on, as Python ints
+    rng = random.Random(7)
+    k = (96 ** 1.5, 96 ** 2.5, 96 ** 4.5)
+    m = 2 ** 40 + 1
+    for bits, dtype in ((54, np.int64), (57, np.int64), (60, object),
+                        (90, object)):
+        cols = _wide_labels(rng, bits)
+        labels = _labels(*cols)
+        assert labels[0].dtype == dtype
+        assert max(map(abs, cols[0])) > 2 ** 53
+        rows = list(zip(*cols))
+        assert series._definite_terms(*labels).T.tolist() == [
+            list(ref_definite_term(a, c, a + b + c)) for a, b, c in rows]
+        assert series._tree_terms(k, *labels).T.tolist() == [
+            list(ref_edge_term(k, b, b + 2 * a, b + 2 * c, b + 2 * a + 2 * c))
+            for a, b, c in rows]
+        want = [ref_square_vertex(m, a, c, a + b + c) for a, b, c in rows]
+        assert sorted(series._square_terms(m, *labels).T.tolist()) == sorted(
+            list(w) for w in want if w is not None)
 
 
 def test_exact_parts_match_fsum():

@@ -10,7 +10,8 @@ from `test_blockwalk`'s walk one unit turn at a time on q's roots, not from
 the block walk `find_river` runs.
 """
 
-from itertools import groupby, repeat
+import time
+from itertools import groupby, islice, repeat
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -136,6 +137,7 @@ def check_river(q):
         assert seq == ref and ref == seq and not seq != ref
         assert hash(seq) == hash(ref)
     assert edges == find_river(q).edges and word == find_river(q).word
+    check_word_search(word, ref_word)
 
     ref_river = RiverDescriptor(kind, ref_edges, ref_word)
     assert river == ref_river and ref_river == river
@@ -149,6 +151,30 @@ def check_river(q):
             assert x.form == r.form and x.path == r.path
             assert _nodes(x.path) == _nodes(r.path) == x.path.runs()
         assert replay(q, e.path) == e.form
+
+
+def check_word_search(word, ref):
+    # membership, counts, reversal and index, with starts and stops from
+    # before either end to past it, as the word's tuple gives them
+    assert list(reversed(word)) == list(reversed(ref))
+    n = len(ref)
+    cuts = sorted({-n - 2, -n, -n + 1, -2, -1, 0, 1, 2, n // 3, n // 2,
+                   n - 2, n - 1, n, n + 2})
+    for letter in ("L", "R", "X"):
+        assert (letter in word) == (letter in ref)
+        assert word.count(letter) == ref.count(letter)
+        for start in cuts:
+            for stop in (None, *cuts):
+                args = (start,) if stop is None else (start, stop)
+                try:
+                    want = ref.index(letter, *args)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        word.index(letter, *args)
+                else:
+                    assert word.index(letter, *args) == want, args
+        if letter in ref:
+            assert word.index(letter) == ref.index(letter)
 
 
 @given(periodic_forms())
@@ -198,3 +224,22 @@ def test_views_hold_their_blocks_only():
         assert replay(q, e.path) == e.form
     assert edges[-1].path.runs() == [("R", n), ("L", n - 1)]
     assert edges[2 ** 28: 2 ** 28 + 2] == (edges[2 ** 28], edges[n])
+
+
+def test_word_search_on_a_huge_block():
+    # [0, 2^113 + 1, 3]: one block of about 2^111 L turns, past len()'s
+    # range; membership, counts, index and reversal read it as one block
+    word = find_river(QuadForm(0, 2 ** 113 + 1, 3)).word
+    n = word.turns
+    assert n > 2 ** 111
+    start = time.perf_counter()
+    assert "L" in word and "R" not in word
+    assert word.count("R") == 0 and word.count("L") == n
+    with pytest.raises(ValueError):
+        word.index("R")
+    assert word.index("L") == 0 and word.index("L", -5) == n - 5
+    assert word.index("L", 2 ** 100, 2 ** 101) == 2 ** 100
+    with pytest.raises(ValueError):
+        word.index("L", n)
+    assert list(islice(reversed(word), 3)) == ["L"] * 3
+    assert time.perf_counter() - start < 0.1
