@@ -257,7 +257,7 @@ def test_square_log_identity_across_kernel_calls(m, bmax):
 
 @pytest.mark.parametrize("g, radius", [
     (1, 300), (3, 300), (2, 1000),
-    (3001, 300),     # (g n)^2 beyond 2^53: the platform pow
+    (3001, 300),     # (g n)^2 beyond 2^53: rounded once, as x x
     (10 ** 17, 20),  # g n beyond int64: Python ints
 ])
 def test_eisenstein_lhs_matches_depth_first_walk(g, radius):

@@ -272,7 +272,8 @@ def test_series_neg_profile_matches_reference(monkeypatch):
 
 
 # the reference loop's profiles at depths 19 and 20, where part of every
-# level has products beyond 2^53 and takes the Python-int fallback
+# level has products beyond 2^53, as the Python-int terms gave them: the
+# plain IEEE terms keep every bit of them
 _DEEP_PROFILES = {
     QuadForm(1, 0, 5): {
         19: (12.558227585182234, 75.39772502408762),
