@@ -10,7 +10,11 @@ D = 2000133 (2,034) and D = 100000037 (71,710).  `find_river` also runs on
 [1, 2^28 + 1, -1], whose river is two blocks of 2^28 + 1 turns, and on
 the square-D forms [0, F(n+1), F(n)], F the Fibonacci numbers, at n = 100
 and 300 (partial quotients all 1: a block per turn) and [0, 10^k, 1] (one
-long block).  The river readers `pell_fundamental`, `negative_pell`,
+long block).  `test_river_hash` hashes the edges view of the first two
+(at D = 100000037 a hash that expands every edge's path would take
+minutes), and `reduce_simple_cycle` also runs on [-1, 10^6, 1], a period of
+two blocks of about 10^6 turns, recording the entries of its `steps` as
+`steps`.  The river readers `pell_fundamental`, `negative_pell`,
 `necklace_of` and `symmetry` run on the same three principal forms and on
 [1, n, -1] for n = 10^3, 10^4, 10^5 and 10^6, whose river is two blocks
 of n turns: the Pell readers on the form's D, whose principal class it is.
@@ -112,6 +116,17 @@ def test_find_river_every_edge(benchmark, D):
 def test_reduce_simple_cycle(benchmark, D):
     res = _run(benchmark, reduce_simple_cycle, principal_form(D))
     assert res.canonical
+
+
+@pytest.mark.parametrize("D", DISCS[:2])
+def test_river_hash(benchmark, D):
+    river = find_river(principal_form(D))
+    _run(benchmark, lambda q: hash(river.edges), principal_form(D))
+
+
+def test_reduce_simple_cycle_two_long_blocks(benchmark):
+    res = _run(benchmark, reduce_simple_cycle, QuadForm(-1, 10 ** 6, 1))
+    benchmark.extra_info["steps"] = len(res.steps)
 
 
 @pytest.mark.parametrize("q", READER_FORMS)

@@ -19,7 +19,6 @@ und quadratische Koerper, 1981; Buchmann-Vollmer, Binary Quadratic Forms,
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -35,7 +34,7 @@ from .topograph import (_quad_form, definite_blocks, floor_root,
 class ReductionResult:
     canonical: object  # QuadForm, or tuple of QuadForm for cycles
     transform: UniMat  # act(input, transform) == first canonical form
-    steps: tuple  # TurnWord trace
+    steps: tuple  # (letter, k) blocks whose product is transform
     negated: bool = False  # set when a negative definite input was negated
 
 
@@ -139,10 +138,9 @@ def reduce_simple_cycle(q):
     # wraps inside a block
     first = int(word[0][0] == word[-1][0])
     i = forms.index(min(forms[first:]), first)
-    steps = root + tuple(chain.from_iterable(
-        [(letter, 1)] * k for letter, k in word[:i]))
+    steps = root + word[:i]
     return ReductionResult(forms[i:] + forms[first:i],
-                           turn_sequence_matrix(root + word[:i]), steps)
+                           turn_sequence_matrix(steps), steps)
 
 
 # ------------------------------------------------------- Gauss and Zagier

@@ -240,13 +240,13 @@ def topograph_of_word(w):
 
 def symmetry(q):
     """Flags {q~q*, q~-q, q~-q*}: whether q* = [a, -b, c], -q and -q* have
-    q's class code, its river necklace, or its word for square D."""
+    q's class code, its river necklace, or its reduced form for square D."""
     if q.content() != 1:
         raise DomainError("symmetry needs a primitive form")
     D = q.discriminant()
     if D <= 0:
         raise DomainError("symmetry is read from a river; needs D > 0")
-    code = word_of if is_square(D) else necklace_of
+    code = (lambda x: square_reduction(x)[1]) if is_square(D) else necklace_of
     a, b, c = q
     w = code(q)
     return {"q~q*": code(QuadForm(a, -b, c)) == w,

@@ -17,7 +17,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, cycle, islice, repeat
+from itertools import chain, cycle, groupby, islice, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -30,10 +30,10 @@ class TurnPath:
     """An immutable sequence of turns stored as runs, each run a node that
     shares the path it extends: `then` is O(1) and never copies the prefix.
 
-    It iterates its turns, has a length, and compares and hashes equal to
-    the tuple of its turns, so `TurnPath().then("L", 2) == ("L", "L")`.
-    Two paths compare by their runs, in time linear in the number of runs;
-    hashing expands the path into its turns.
+    It iterates its turns and has a length; it compares and hashes by its
+    maximal runs, in time linear in their number, so that
+    `TurnPath().then("L", 2) == TurnPath.of("LL")`, and `tuple(path)`
+    gives its turns.
     """
 
     __slots__ = ("prefix", "turn", "count", "_len")
@@ -81,13 +81,10 @@ class TurnPath:
         # by _len, which len() cannot return past 2^63 - 1
         if isinstance(other, TurnPath):
             return self._len == other._len and self.runs() == other.runs()
-        if isinstance(other, tuple):
-            return self._len == len(other) and tuple(self) == other
         return NotImplemented
 
     def __hash__(self):
-        # equal to the tuple's hash, so this expands the path turn by turn
-        return hash(tuple(self))
+        return hash(tuple(self.runs()))
 
     def __repr__(self):
         return f"TurnPath({tuple(self)!r})"
@@ -100,7 +97,8 @@ class TurnPath:
 class EdgeCursor(NamedTuple):
     """A directed edge carrying `form`; `path` records the turns from the
     declared root (provenance only, it never affects navigation).  step()
-    makes it a TurnPath; a plain tuple of turns is accepted as a start."""
+    makes it a TurnPath; a plain tuple of turns is accepted as a start, but
+    a cursor holding one equals no cursor holding a TurnPath."""
 
     form: QuadForm
     path: TurnPath = TurnPath()
@@ -120,8 +118,9 @@ class RiverDescriptor:
     from lake to lake for square D ("finite").  `edges` (EdgeCursor) and
     `word` (the L/R letter taken along each edge) are read-only sequence
     views over the river's run-length blocks: building one is O(blocks),
-    an index is O(log blocks), and each compares and hashes equal to the
-    tuple of its items.  `turns` counts them past len()'s 2^63 - 1."""
+    an index is O(log blocks), a search O(blocks) at most, and two views
+    compare and hash by their blocks.  `turns` counts the items past
+    len()'s 2^63 - 1."""
 
     kind: str
     edges: "RiverEdges"
@@ -659,7 +658,8 @@ def _river_runs(word, forms, path):
 
 class _RiverView(Sequence):
     # turns lo .. lo + len - 1 of a river's runs, read without copying;
-    # _item(i, j) is the item of turn j of block i
+    # _item(i, j) is the item of turn j of block i; _find(x, lo, hi) yields
+    # (t0, t1) in order where turns t0 .. t1 - 1, in lo .. hi - 1, equal x
     __slots__ = ("_runs", "_lo", "_len")
 
     def __init__(self, runs, lo=0, hi=None):
@@ -711,31 +711,47 @@ class _RiverView(Sequence):
 
     def _letter_runs(self):
         # the letters taken from every item but the last, as maximal runs
-        runs = []
         letters = self._runs.letters
-        for i, j0, j1 in _RiverView(self._runs, self._lo,
-                                    self._lo + self._len - 1)._spans():
-            if runs and runs[-1][0] == letters[i]:
-                runs[-1][1] += j1 - j0
-            else:
-                runs.append([letters[i], j1 - j0])
-        return runs
+        spans = _RiverView(self._runs, self._lo,
+                           self._lo + self._len - 1)._spans()
+        return tuple((letter, sum(j1 - j0 for _, j0, j1 in group))
+                     for letter, group in groupby(spans,
+                                                  lambda s: letters[s[0]]))
 
-    def __eq__(self, other):
+    def _key(self):
         # a view's items follow from its first item and the letters taken
         # from them (a form and its path step by the letter), so two views
-        # compare in O(blocks), past len()'s range too
-        if isinstance(other, tuple):
-            return self.turns == len(other) and tuple(self) == other
+        # compare and hash in O(blocks), past len()'s range too
+        if not self._len:
+            return 0
+        return self._len, self[0], self[-1], self._letter_runs()
+
+    def __eq__(self, other):
         if isinstance(other, _RiverView):
-            return self.turns == other.turns and (
-                not self.turns or self[0] == other[0]
-                and self[-1] == other[-1]
-                and self._letter_runs() == other._letter_runs())
+            return self._key() == other._key()
         return NotImplemented
 
     def __hash__(self):
-        return hash(tuple(self))
+        return hash(self._key())
+
+    def __reversed__(self):
+        for i, j0, j1 in reversed([*self._spans()]):
+            for j in range(j1 - 1, j0 - 1, -1):  # past 2^63 too
+                yield self._item(i, j)
+
+    def __contains__(self, item):
+        return any(self._find(item, self._lo, self._lo + self._len))
+
+    def count(self, item):
+        return sum(t1 - t0 for t0, t1 in
+                   self._find(item, self._lo, self._lo + self._len))
+
+    def index(self, item, start=0, stop=None):
+        # start and stop as a slice takes them, past len()'s range too
+        start, stop, _ = slice(start, stop).indices(self._len)
+        for t0, _ in self._find(item, self._lo + start, self._lo + stop):
+            return t0 - self._lo
+        raise ValueError("item not in the river view")
 
     def __repr__(self):
         return f"<{type(self).__name__} of {self._len} turns>"
@@ -745,9 +761,8 @@ class RiverEdges(_RiverView):
     """The edges of a river, as EdgeCursors on the form before each unit
     turn and with the path to it: a read-only sequence view over its
     blocks.  Edge j of a block is the block's first form moved by j turns,
-    and its path the block's start path followed by j turns.  Hashing the
-    view expands every edge's path turn by turn: its time is quadratic in
-    the river's length."""
+    and its path the block's start path followed by j turns, so an edge
+    is found by its path's length, in O(log blocks + runs)."""
 
     __slots__ = ()
 
@@ -755,6 +770,12 @@ class RiverEdges(_RiverView):
         letters, _, forms, paths = self._runs
         form = _quad_form(_block(*forms[i], letters[i], j))
         return tuple.__new__(EdgeCursor, (form, paths[i].then(letters[i], j)))
+
+    def _find(self, edge, lo, hi):
+        if isinstance(edge, EdgeCursor) and isinstance(edge.path, TurnPath):
+            t = edge.path._len - self._runs.paths[0]._len
+            if lo <= t < hi and self[t - self._lo] == edge:
+                yield t, t + 1
 
     def __iter__(self):
         # one unit turn per edge, stepping (a, b, c) inline, in one loop per
@@ -798,35 +819,16 @@ class RiverWord(_RiverView):
     def _item(self, i, j):
         return self._runs.letters[i]
 
-    def _letters(self, spans):
-        letters = self._runs.letters
-        return chain.from_iterable(_repeat(letters[i], j1 - j0)
-                                   for i, j0, j1 in spans)
+    def _find(self, letter, lo, hi):
+        letters, offsets = self._runs.letters, self._runs.offsets
+        for i, j0, j1 in RiverWord(self._runs, lo, hi)._spans():
+            if letters[i] == letter:
+                yield offsets[i] + j0, offsets[i] + j1
 
     def __iter__(self):
-        return self._letters(self._spans())
-
-    def __reversed__(self):
-        return self._letters(reversed([*self._spans()]))
-
-    def __contains__(self, letter):
         letters = self._runs.letters
-        return any(letters[i] == letter for i, _, _ in self._spans())
-
-    def count(self, letter):
-        letters = self._runs.letters
-        return sum(j1 - j0 for i, j0, j1 in self._spans()
-                   if letters[i] == letter)
-
-    def index(self, letter, start=0, stop=None):
-        # start and stop as a slice takes them, past len()'s range too
-        start, stop, _ = slice(start, stop).indices(self._len)
-        letters, offsets = self._runs.letters, self._runs.offsets
-        for i, j0, _ in RiverWord(self._runs, self._lo + start,
-                                  self._lo + stop)._spans():
-            if letters[i] == letter:
-                return offsets[i] + j0 - self._lo
-        raise ValueError(f"{letter!r} is not in the river word")
+        return chain.from_iterable(_repeat(letters[i], j1 - j0)
+                                   for i, j0, j1 in self._spans())
 
 
 def find_river(q):

@@ -11,13 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from topoforms.exact import is_square, surd_floor
 from topoforms.forms import (ID, MAT_L, MAT_R, QuadForm, UniMat, act,
-                             roots)
+                             roots, turn_sequence_matrix)
 from topoforms.reduce import is_simple, is_simply_reduced, reduce_simple_cycle
 from topoforms.riverword import (Necklace, necklace_of, negative_pell,
                                  pell_fundamental, principal_form,
                                  river_period)
 from topoforms.topograph import (EdgeCursor, TurnPath, find_river,
-                                 river_walk, step)
+                                 river_walk, step, turn_path)
 
 _TURNS = {
     "L": lambda a, b, c: (a, b + 2 * a, a + b + c),
@@ -177,11 +177,12 @@ def test_find_river_matches_reference(q):
     edges, word = ref_find_river(q)
     river = find_river(q)
     assert river.kind == "periodic"
-    assert river.word == word
+    assert tuple(river.word) == word
     assert [e.form for e in river.edges] == [f for f, _ in edges]
     for e, (f, path) in zip(river.edges, edges):
-        assert e.path == path and tuple(e.path) == path
-        assert hash(e.path) == hash(path)
+        # the river's nodes, and the unit turns merged by `then`
+        assert tuple(e.path) == path and e.path == TurnPath.of(path)
+        assert hash(e.path) == hash(TurnPath.of(path))
         assert _replay(q, e.path) == f
 
 
@@ -192,7 +193,9 @@ def test_reduce_simple_cycle_matches_reference(q):
     res = reduce_simple_cycle(q)
     assert res.canonical == cycle
     assert res.transform == transform
-    assert res.steps == steps
+    assert list(turn_path(res.steps)) == list(turn_path(steps))
+    assert turn_sequence_matrix(res.steps) == res.transform
+    assert all(k for _, k in res.steps)
     assert necklace_of(q) == ref_necklace(cycle[0])
 
 
@@ -241,15 +244,17 @@ def test_root_path_reaches_a_simple_form():
 
 def test_turn_path_is_a_tuple_of_turns():
     p = TurnPath().then("L", 2).then("R").then("R", 0).then("R")
-    assert p == ("L", "L", "R", "R") and ("L", "L", "R", "R") == p
+    assert tuple(p) == ("L", "L", "R", "R") and p == TurnPath.of("LLRR")
     assert len(p) == 4 and list(p) == ["L", "L", "R", "R"]
-    assert hash(p) == hash(("L", "L", "R", "R"))
-    assert p != ("L", "L", "R") and p != ("L", "R", "L", "R")
-    assert TurnPath() == () and len(TurnPath()) == 0
-    assert TurnPath.of(("S", "L")) == ("S", "L")
+    assert hash(p) == hash(TurnPath.of("LLRR"))
+    assert p != TurnPath.of("LLR") and p != TurnPath.of("LRLR")
+    # a path compares with paths only, not with the tuple of its turns
+    assert p != ("L", "L", "R", "R") and ("L", "L", "R", "R") != p
+    assert tuple(TurnPath()) == () and len(TurnPath()) == 0
+    assert tuple(TurnPath.of(("S", "L"))) == ("S", "L")
     # a cursor built from a plain tuple extends it
     cur = step(EdgeCursor(QuadForm(1, 1, 1), ("S",)), "L")
-    assert cur.path == ("S", "L")
+    assert tuple(cur.path) == ("S", "L") and cur.path == TurnPath.of("SL")
 
 
 def test_long_root_path():

@@ -182,7 +182,7 @@ GROUPS = {
         "e0c1d68abfca49ef4dfc8f6b44363e159b24e73993650fa48e339e587296e70d"),
     "cycles": (
         _cycles, 3633,
-        "36c1495cbce657d7f8a4301d913b4f0d61ea1638ad113fd0d4c7f5f2e9328e1d"),
+        "c259ccc8878ced51edb05dcd29f28826d20050728a92d88ec201bddb64887418"),
     "continued_fractions": (
         _continued_fractions, 900,
         "25fb2ac89ca3ae6d56ba722eec79a7805a8a1c1c6df5f3bad2a63d19e3740839"),
@@ -197,7 +197,7 @@ GROUPS = {
         "2fc6bd9a6a5f7dd6ebc5cc51ad88a135e41011f98f16627aad2435ac767670b6"),
     "cli": (
         _cli, 80,
-        "f25f44897f11f85cbb4c343e8abe6216f0d829d96e6f8de9daacd53039eac966"),
+        "3628f57505c75980f74096edbd2d74d088be29560ada0f9efcc06bb787bb7163"),
 }
 
 

@@ -22,7 +22,8 @@ from topoforms.reduce import (gauss_cycle, gauss_step, is_g_reduced,
                               is_simply_reduced, is_z_reduced,
                               reduce_simple_cycle, z_forms, zagier_classes,
                               zagier_cycle, zagier_step)
-from topoforms.topograph import block_step, period_blocks, river_walk, walk
+from topoforms.topograph import (block_step, period_blocks, river_walk,
+                                 turn_path, walk)
 
 
 # ------------------------------------------------------------- reference
@@ -132,7 +133,19 @@ def test_simple_cycle_matches_the_block_scan(q):
     res = reduce_simple_cycle(q)
     assert res.canonical == cycle
     assert res.transform == transform
-    assert res.steps == steps
+    assert list(turn_path(res.steps)) == list(turn_path(steps))
+    assert turn_sequence_matrix(res.steps) == res.transform
+    assert all(k for _, k in res.steps)
+    assert act(q, res.transform) == res.canonical[0]
+
+
+def test_simple_cycle_steps_are_blocks():
+    # D = 10^12 + 4: a period of two blocks of about 10^6 turns, whose
+    # cycle has 2 forms; the steps are the blocks, not their unit turns
+    q = QuadForm(-1, 10 ** 6, 1)
+    res = reduce_simple_cycle(q)
+    assert len(res.canonical) == 2 and len(res.steps) <= 5
+    assert turn_sequence_matrix(res.steps) == res.transform
     assert act(q, res.transform) == res.canonical[0]
 
 

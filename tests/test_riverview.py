@@ -4,10 +4,11 @@ they replaced.
 
 `ref_find_river` below materializes one cursor per unit edge, exactly as
 `find_river` did before the views: every view must agree with its tuples
-in length, indexing, slicing, iteration, equality and hash, down to the
-nodes of each edge's path.  A periodic river's start, path and turns come
-from `test_blockwalk`'s walk one unit turn at a time on q's roots, not from
-the block walk `find_river` runs.
+in length, indexing, slicing, iteration and search, down to the nodes of
+each edge's path, and views of equal tuples compare and hash equal.  A
+periodic river's start, path and turns come from `test_blockwalk`'s walk
+one unit turn at a time on q's roots, not from the block walk `find_river`
+runs.
 """
 
 import time
@@ -18,8 +19,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from topoforms.exact import is_square
 from topoforms.forms import QuadForm
-from topoforms.topograph import (EdgeCursor, RiverDescriptor, TurnPath,
-                                 block_step, find_river, square_reduction,
+from topoforms.topograph import (EdgeCursor, TurnPath, block_step,
+                                 find_river, square_reduction,
                                  square_river_blocks, turn_path)
 
 from test_blockwalk import ref_find_river as ref_unit_river
@@ -59,7 +60,7 @@ def ref_find_river(q):
     anchor, path = unit_edges[0]
     runs = [(letter, len(list(g))) for letter, g in groupby(unit_word)]
     edges, letters = ref_unit_edges(runs, anchor, TurnPath.of(path))
-    assert [(e.form, e.path) for e in edges] == unit_edges
+    assert [(e.form, tuple(e.path)) for e in edges] == unit_edges
     return "periodic", tuple(edges), tuple(letters)
 
 
@@ -134,14 +135,19 @@ def check_river(q):
             got = seq[s]
             assert type(got) is tuple and got == ref[s], s
         assert tuple(seq) == ref and list(seq) == list(ref)
-        assert seq == ref and ref == seq and not seq != ref
-        assert hash(seq) == hash(ref)
-    assert edges == find_river(q).edges and word == find_river(q).word
-    check_word_search(word, ref_word)
-
-    ref_river = RiverDescriptor(kind, ref_edges, ref_word)
-    assert river == ref_river and ref_river == river
-    assert hash(river) == hash(ref_river)
+        # a view compares with views, not with the tuple of its items
+        assert seq != ref and ref != seq and not seq == ref
+    again = find_river(q)  # the same river, walked twice
+    assert edges == again.edges and word == again.word and river == again
+    assert hash(edges) == hash(again.edges)
+    assert hash(word) == hash(again.word) and hash(river) == hash(again)
+    check_search(word, ref_word, ("L", "R", "X"))
+    # the first, middle and last edges, and the first edge's form with a
+    # path that is not its own
+    n = len(ref_edges)
+    picks = ref_edges[:1] + ref_edges[n // 2:n // 2 + 1] + ref_edges[-1:]
+    check_search(edges, ref_edges, (*picks, "X",
+                                    *(EdgeCursor(e.form) for e in picks[:1])))
 
     # the same cursors and path nodes, whether iterated or indexed
     for i, (e, r) in enumerate(zip(edges, ref_edges)):
@@ -153,28 +159,28 @@ def check_river(q):
         assert replay(q, e.path) == e.form
 
 
-def check_word_search(word, ref):
+def check_search(seq, ref, items):
     # membership, counts, reversal and index, with starts and stops from
-    # before either end to past it, as the word's tuple gives them
-    assert list(reversed(word)) == list(reversed(ref))
+    # before either end to past it, as the view's tuple gives them
+    assert list(reversed(seq)) == list(reversed(ref))
     n = len(ref)
     cuts = sorted({-n - 2, -n, -n + 1, -2, -1, 0, 1, 2, n // 3, n // 2,
                    n - 2, n - 1, n, n + 2})
-    for letter in ("L", "R", "X"):
-        assert (letter in word) == (letter in ref)
-        assert word.count(letter) == ref.count(letter)
+    for item in items:
+        assert (item in seq) == (item in ref)
+        assert seq.count(item) == ref.count(item)
         for start in cuts:
             for stop in (None, *cuts):
                 args = (start,) if stop is None else (start, stop)
                 try:
-                    want = ref.index(letter, *args)
+                    want = ref.index(item, *args)
                 except ValueError:
                     with pytest.raises(ValueError):
-                        word.index(letter, *args)
+                        seq.index(item, *args)
                 else:
-                    assert word.index(letter, *args) == want, args
-        if letter in ref:
-            assert word.index(letter) == ref.index(letter)
+                    assert seq.index(item, *args) == want, args
+        if item in ref:
+            assert seq.index(item) == ref.index(item)
 
 
 @given(periodic_forms())
@@ -207,6 +213,7 @@ def test_views_compare_as_their_tuples(q, letter, k):
                  (one.edges, one.word), (one.word, two.edges)):
         assert (x == y) == (tuple(x) == tuple(y)), (x, y)
         assert (x != y) == (tuple(x) != tuple(y))
+        assert x != y or hash(x) == hash(y)
 
 
 def test_views_hold_their_blocks_only():
@@ -242,4 +249,23 @@ def test_word_search_on_a_huge_block():
     with pytest.raises(ValueError):
         word.index("L", n)
     assert list(islice(reversed(word), 3)) == ["L"] * 3
+    assert time.perf_counter() - start < 0.1
+
+
+def test_edge_search_on_a_huge_block():
+    # [0, 2^113 + 1, 3]: an edge is looked up at its path's length, and
+    # reversal walks the blocks, so nothing counts the 2^111 edges
+    edges = find_river(QuadForm(0, 2 ** 113 + 1, 3)).edges
+    n = edges.turns
+    start = time.perf_counter()
+    for i in (0, 5, 2 ** 100, n - 1):
+        e = edges[i]
+        assert e in edges and edges.count(e) == 1 and edges.index(e) == i
+        assert edges.index(e, -n + i) == i
+        with pytest.raises(ValueError):
+            edges.index(e, i + 1)
+        off = EdgeCursor(e.form, e.path.then("S"))
+        assert off not in edges and edges.count(off) == 0
+    assert list(islice(reversed(edges), 3)) == [edges[-1], edges[-2],
+                                                edges[-3]]
     assert time.perf_counter() - start < 0.1

@@ -1,3 +1,4 @@
+import math
 import time
 from itertools import groupby, product
 from math import gcd
@@ -57,6 +58,16 @@ def ref_symmetry(q):
     sw = _least("".join(switch[c] for c in bits))
     revsw = _least("".join(switch[c] for c in bits)[::-1])
     return {"q~q*": rev == bits, "q~-q": revsw == bits, "q~-q*": sw == bits}
+
+
+def ref_square_symmetry(q):
+    """The flags for square D as word_of spells them: whether q*, -q and
+    -q* have q's word."""
+    a, b, c = q
+    w = word_of(q)
+    return {"q~q*": word_of(QuadForm(a, -b, c)) == w,
+            "q~-q": word_of(QuadForm(-a, -b, -c)) == w,
+            "q~-q*": word_of(QuadForm(-a, b, -c)) == w}
 
 
 def _outcome(fn, *args):
@@ -303,6 +314,31 @@ def test_symmetry_sweep_matches_reference():
             count += 1
             assert symmetry(q) == ref_symmetry(q), q
     assert count == 7996
+
+
+def test_square_symmetry_matches_the_words():
+    # every primitive square-D form with coefficients in [-25, 25]: the
+    # reduced form of a class is its code as its word is
+    count = 0
+    for a, b, c in product(range(-25, 26), repeat=3):
+        q = QuadForm(a, b, c)
+        D = q.discriminant()
+        if D > 0 and is_square(D) and q.content() == 1:
+            count += 1
+            assert symmetry(q) == ref_square_symmetry(q), q
+    assert count == 8952
+
+
+def test_square_symmetry_reads_no_word():
+    # [0, 10^7, 1]: a river of one block of 10^7 - 1 turns, which the
+    # word spells bit by bit and the reduced form does not
+    best = math.inf
+    for _ in range(3):
+        t = time.perf_counter()
+        flags = symmetry(QuadForm(0, 10 ** 7, 1))
+        best = min(best, time.perf_counter() - t)
+    assert flags == {"q~q*": True, "q~-q": False, "q~-q*": False}
+    assert best < 0.001
 
 
 @given(st.just(0) | st.integers(-300, 300), st.integers(-300, 300),

@@ -21,7 +21,7 @@ def test_step_inverses(q):
     assert step(step(cur, "L"), "Li").form == q
     assert step(step(cur, "R"), "Ri").form == q
     assert step(step(cur, "S"), "S").form == q
-    assert step(cur, "L").path == ("L",)
+    assert tuple(step(cur, "L").path) == ("L",)
 
 
 def test_step_unknown_turn():

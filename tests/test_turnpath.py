@@ -18,8 +18,8 @@ from topoforms.topograph import TurnPath, find_river, find_well
 def test_adjacent_equal_runs_merge():
     split = TurnPath(TurnPath(TurnPath(None, "L", 3), "R", 0), "L", 2)
     assert split.runs() == [("L", 5)]
-    assert split == TurnPath().then("L", 5) == ("L",) * 5
-    assert hash(split) == hash(("L",) * 5)
+    assert split == TurnPath().then("L", 5) and tuple(split) == ("L",) * 5
+    assert hash(split) == hash(TurnPath().then("L", 5))
     assert split != TurnPath().then("L", 4).then("R")
     assert TurnPath().then("L").then("R") != TurnPath().then("R").then("L")
 
@@ -45,6 +45,18 @@ def test_long_paths_compare_by_runs():
     assert not equal and seconds < 0.005
 
 
+def test_river_views_hash_by_blocks():
+    # 587 blocks and 5,590 edges, the last edge's path 587 runs long: the
+    # hash reads the blocks and two edges' runs, not every edge's turns
+    river = find_river(principal_form(1003033))
+    best = math.inf
+    for _ in range(3):
+        t = time.perf_counter()
+        hash(river.edges), hash(river.word)
+        best = min(best, time.perf_counter() - t)
+    assert best < 0.01
+
+
 @pytest.mark.parametrize("how", ["pickle", "deepcopy"])
 @pytest.mark.parametrize("D", [1003033, 100000037])
 def test_long_paths_and_rivers_copy_and_pickle(D, how):
@@ -58,10 +70,12 @@ def test_long_paths_and_rivers_copy_and_pickle(D, how):
     else:
         river2, edge2 = copy.deepcopy(river), copy.deepcopy(edge)
     assert edge2 == edge and edge2.path.runs() == edge.path.runs()
+    assert hash(edge2) == hash(edge)
     assert river2.kind == river.kind
     assert river2.edges.turns == river.edges.turns
     assert river2.word.turns == river.word.turns
-    assert river2.word == river.word
+    assert river2.word == river.word and river2.edges == river.edges
+    assert hash(river2) == hash(river)
     for i in (7, -1):
         assert river2.edges[i] == river.edges[i]
         assert river2.edges[i].path.runs() == river.edges[i].path.runs()
