@@ -15,7 +15,7 @@ from .exact import DomainError, Surd, finite_float, is_square
 from .forms import QuadForm
 from .reduce import (ReductionResult, gauss_cycle, reduce_negative,
                      reduce_simple_cycle, reduce_square, zagier_cycle)
-from .riverword import (Necklace, h1, necklace_of, negative_pell,
+from .riverword import (Necklace, _h1_of, necklace_of, negative_pell,
                         pell_fundamental, principal_form,
                         topograph_of_necklace, topograph_of_word, word_of)
 from .series import (eisenstein_check, hurwitz_series, series_neg,
@@ -102,8 +102,8 @@ def _cmd_classnum(ns):
         elif is_square(D):
             doc["h"] = str(h_square(D)[0])
         else:
-            doc["h"] = str(h_pos(D))
-            doc["h1"] = str(h1(D))
+            h = h_pos(D)
+            doc.update(h=str(h), h1=str(_h1_of(D, h)))
     plain = [f"{k} {v}" for k, v in doc.items() if k != "discriminant"]
     _emit(ns, doc, plain)
 

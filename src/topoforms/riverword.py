@@ -265,7 +265,9 @@ def h1(D):
         return 1
     if is_square(D):
         return euler_phi(isqrt(D)) // 2
-    h = h_pos(D)
-    if negative_pell(D) is not None:
-        return h
-    return h // 2
+    return _h1_of(D, h_pos(D))
+
+
+def _h1_of(D, h):
+    # h1 from h = h_pos(D): h when t^2 - D u^2 = -4 is solvable, else h/2
+    return h if negative_pell(D) is not None else h // 2

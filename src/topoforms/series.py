@@ -38,9 +38,9 @@ from .forms import QuadForm
 from .reduce import (_primes, _class_rivers, divisor_rows, reduced_forms,
                      z_forms, zagier_cycle, zstar_forms)
 from .riverword import epsilon
-from .topograph import (_LABEL_MAX, EdgeCursor, _batches, _levels,
-                        ball_levels, block_step, find_river,
-                        square_reduction, square_river_blocks)
+from .topograph import (_LABEL_MAX, EdgeCursor, RiverEdges, TurnPath,
+                        _batches, _levels, _river_runs, ball_levels,
+                        find_river, square_reduction, square_river_blocks)
 
 # the two Poincare-series evaluations the identities rest on
 POINCARE_ALL_ONES = 3 * pi / 2
@@ -320,17 +320,11 @@ def series_square(q, depth):
     r = q0.c
     g0 = gcd(m, r)
     s_res = pow(r, -1, m) if m > 1 and g0 == 1 else r
-    # the middle river edge, the form after turn (T + 1) // 2 of the T turns
-    # from the lake edge [r, -m, 0] = q0|S, whose edges come after turns 1
-    # to T - 1; or else that lake edge
+    # the middle edge of a view over the square walk's own blocks, as
+    # find_river's, from the lake edge [r, -m, 0] = q0|S; or else that edge
     _, word, forms = square_river_blocks(q0)
-    turns = sum(k for _, k in word)
-    t = (turns + 1) // 2 if turns > 1 else 0
-    for (letter, k), form in zip(word, forms):
-        if t < k:
-            break
-        t -= k
-    root = EdgeCursor(block_step(form, letter, t))
+    edges = RiverEdges(_river_runs(word, forms, TurnPath()), 1)
+    root = edges[edges.turns // 2] if edges else EdgeCursor(QuadForm(r, -m, 0))
     sums1, sums2, terms = _group_sums(partial(_square_terms, m),
                                       ball_levels(root), depth, depth + 1)
     v1 = fsum(sums1) + W1(r / m) + W1(s_res / m)

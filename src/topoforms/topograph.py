@@ -17,13 +17,13 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, cycle, groupby, islice, repeat
+from itertools import chain, cycle, groupby, repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .exact import DomainError, is_square, isqrt
-from .forms import QuadForm
+from .forms import QuadForm, _run_product
 
 
 class TurnPath:
@@ -87,7 +87,7 @@ class TurnPath:
         return hash(tuple(self.runs()))
 
     def __repr__(self):
-        return f"TurnPath({tuple(self)!r})"
+        return f"TurnPath({tuple(self.runs())!r})"
 
     def __reduce__(self):
         # copied and pickled by runs: the default recurses once per node
@@ -293,7 +293,7 @@ def block_step(form, letter, k):
 _WINDOW = 176  # the leading bits of (a, b, c) a batch reads
 
 
-def _real_quotients(P, B, Q, limit):
+def _real_quotients(P, B, Q):
     # For real roots, each block's k is the next partial quotient of the
     # first root: an R block is an L block of the reversed form, so the
     # walk from the form whose pivot (a before L, c before R) has leading
@@ -321,10 +321,10 @@ def _real_quotients(P, B, Q, limit):
             break
         r, s = s, t
         ks.append(k)
-    return ks[:limit]
+    return ks
 
 
-def _definite_quotients(P, B, Q, limit):
+def _definite_quotients(P, B, Q):
     # For D < 0, the blocks from the positive definite form whose pivot,
     # b and other coefficient have leading bits P, B and Q, in units
     # u > |D|, each an L block of (P, B, Q) as above.  The true values lie
@@ -355,31 +355,24 @@ def _definite_quotients(P, B, Q, limit):
         ks.append(k)
         P, Q = Q, P
         x, y = y, x
-    return ks[:limit]
+    return ks
 
 
-def _batch(a, b, c, letter, shift, limit, quotients):
+def _batch(a, b, c, letter, shift, quotients):
     """Lehmer's step: the walk's next blocks from the leading bits of
-    (a, b, c), at most `limit` of them, and the form they end on.  The
-    quotients come from small ints, u = 2^shift > |D|: for real roots,
-    those both ends of an interval around the roots share; for D < 0,
-    those every form within the error bounds of the leading bits shares.
-    The blocks multiply to one matrix, applied to (a, b, c) once."""
+    (a, b, c), and the form they end on.  The quotients come from small
+    ints, u = 2^shift > |D|: for real roots, those both ends of an interval
+    around the roots share; for D < 0, those every form within the error
+    bounds of the leading bits shares.  The blocks multiply to one matrix,
+    applied to (a, b, c) once."""
     P, B, Q = (a, b, c) if letter == "L" else (c, b, a)
-    ks = quotients(P >> shift, B >> shift, Q >> shift, limit)
+    ks = quotients(P >> shift, B >> shift, Q >> shift)
     if not ks:
         return [], None
-    # each block adds k times the pivot's column to the other column, whose
-    # coefficient is the next block's pivot
-    e, f, g, h = (1, 0, 0, 1) if letter == "L" else (0, 1, 1, 0)
-    for k in ks:
-        e, g = g + k * e, e
-        f, h = h + k * f, f
-    al, ga, be, de = (e, f, g, h) if len(ks) % 2 == (letter == "R") else (
-        g, h, e, f)
+    word = list(zip(cycle((letter, "R" if letter == "L" else "L")), ks))
+    al, be, ga, de = _run_product(word)
     # [a, b, c] | (al be; ga de), with al de - be ga = 1 giving b's terms
     u = a * al + b * ga
-    word = list(zip(cycle((letter, "R" if letter == "L" else "L")), ks))
     return word, (al * u + c * (ga * ga), 2 * be * u + b + c * (2 * ga * de),
                   be * (a * be + b * de) + c * (de * de))
 
@@ -393,7 +386,8 @@ def walk(form, letter, stop, cap=None):
     meets stop(a, b, c, letter, k), which returns None to go on, or the
     turns j that block takes beyond k (j < 0 takes turns back).  Returns
     the blocks (letter, k), zero blocks included, and the end form.  Past
-    `cap` blocks it raises AssertionError.
+    `cap` blocks it raises AssertionError: a batch's blocks count, and one
+    passes the cap only on the way there, as it never takes the last block.
 
     While the largest coefficient has at least _WINDOW + bits(|D|) bits,
     the walk reads its next blocks off the coefficients' leading bits in
@@ -412,25 +406,18 @@ def walk(form, letter, stop, cap=None):
     # big coefficient the walk leaves within two blocks
     big = bb >> _WINDOW
     word = []
-    blocks = repeat(None) if cap is None else range(cap)
-    if big:
-        blocks = iter(blocks)
-    for _ in blocks:
+    while cap is None or len(word) < cap:
         if big:
             top = max(a.bit_length(), b.bit_length(), c.bit_length())
             big = top >= _WINDOW + abs(D).bit_length()
             if big:  # Lehmer's step
                 batch, end = _batch(
                     a, b, c, letter, top - _WINDOW,
-                    None if cap is None else cap - len(word),
                     _definite_quotients if D < 0 else _real_quotients)
                 if batch:
                     word += batch
                     a, b, c = end
                     letter = "R" if batch[-1][0] == "L" else "L"
-                    # the batch's other blocks count toward cap
-                    next(islice(blocks, len(batch) - 1, len(batch) - 1),
-                         None)
                     continue
         # zeta or 1/zeta is (p + sqrt D)/r
         p, r = (-b, 2 * a) if letter == "L" else (b, -2 * c)
@@ -778,28 +765,24 @@ class RiverEdges(_RiverView):
                 yield t, t + 1
 
     def __iter__(self):
-        # one unit turn per edge, stepping (a, b, c) inline, in one loop per
-        # letter so that no edge tests its letter; the paths are the nodes
-        # `then` would build on each block's start path, built directly
-        new, node = tuple.__new__, TurnPath
+        # one loop per letter, so no edge tests its letter, stepping (a, b, c)
+        # inline; the path to edge j of block i is paths[i].then(letter, j)
+        new = tuple.__new__
         letters, _, _, paths = self._runs
         for i, j0, j1 in self._spans():
-            start = paths[i]
-            prefix, base = ((start.prefix, start.count)
-                            if start.turn == letters[i] else (start, 0))
-            edge = self._item(i, j0)
+            then = paths[i].then
+            (a, b, c), _ = edge = self._item(i, j0)
             yield edge
-            a, b, c = edge.form
             if letters[i] == "L":
-                for j in range(base + j0 + 1, base + j1):
+                for j in range(j0 + 1, j1):
                     b, c = b + 2 * a, a + b + c
                     yield new(EdgeCursor, (new(QuadForm, (a, b, c)),
-                                           node(prefix, "L", j)))
+                                           then("L", j)))
             else:
-                for j in range(base + j0 + 1, base + j1):
+                for j in range(j0 + 1, j1):
                     a, b = a + b + c, b + 2 * c
                     yield new(EdgeCursor, (new(QuadForm, (a, b, c)),
-                                           node(prefix, "R", j)))
+                                           then("R", j)))
 
 
 def _repeat(item, k):
@@ -851,11 +834,10 @@ def find_river(q):
     # entry, or, where the root's last block turned forward with the letter
     # of the period's last block, that block's first form
     root, word, forms = river_walk(q)
-    path = turn_path(root)
     if root and root[-1][1] > 0 and root[-1][0] == word[-1][0]:
-        path = TurnPath(path.prefix, path.turn, path.count - word[-1][1])
+        root = root[:-1] + ((root[-1][0], root[-1][1] - word[-1][1]),)
         word, forms = word[-1:] + word[:-1], forms[-1:] + forms[:-1]
-    runs = _river_runs(word, forms, path)
+    runs = _river_runs(word, forms, turn_path(root))
     return RiverDescriptor("periodic", RiverEdges(runs), RiverWord(runs))
 
 

@@ -2,10 +2,12 @@ import contextlib
 import io
 import json
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from topoforms import classnum, cli, riverword
 from topoforms.cli import run
 
 
@@ -47,6 +49,15 @@ def test_reduce_plain_output(capsys):
     assert run(["reduce", "--form", "2,2,3"]) == 0
     out = capsys.readouterr().out
     assert "canonical [2,2,3]" in out
+
+
+def test_classnum_counts_the_class_rivers_once(capsys):
+    # h and h1 of a non-square D > 0 share one h_pos walk of every river
+    spy = mock.Mock(wraps=classnum.h_pos)
+    with mock.patch.object(cli, "h_pos", spy), \
+            mock.patch.object(riverword, "h_pos", spy):
+        doc = _json_out(capsys, ["classnum", "--disc", "229", "--json"])
+    assert spy.call_count == 1 and doc["h"] == "3" and doc["h1"] == "3"
 
 
 def test_classnum(capsys):

@@ -176,7 +176,7 @@ def _cli():
 GROUPS = {
     "reduce_negative": (
         _reduce_negative, 1000,
-        "1bea04e0666976a97f623b1bbaa057802ac3ec8f5560174e7ff90f5ac937a34c"),
+        "980ae61067fc9f8f174904c6d4411a8374870cf1e2faaa5195539f59686dfe72"),
     "reduce_square": (
         _reduce_square, 820,
         "e0c1d68abfca49ef4dfc8f6b44363e159b24e73993650fa48e339e587296e70d"),

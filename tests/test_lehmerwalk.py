@@ -99,8 +99,8 @@ def batches():
     taken; yields the list of their block counts."""
     real, taken = topograph._batch, []
 
-    def replaying(a, b, c, letter, shift, limit, quotients):
-        word, end = real(a, b, c, letter, shift, limit, quotients)
+    def replaying(a, b, c, letter, shift, quotients):
+        word, end = real(a, b, c, letter, shift, quotients)
         if word:
             D = b * b - 4 * a * c
             replayed((a, b, c), letter, word, end,
@@ -316,7 +316,7 @@ def test_batch_stops_before_the_first_simple_form():
         P, B, Q = (x >> shift for x in q)
         with unit_blocks():
             word, _ = walk(q, "L", _entry)
-        ks = topograph._real_quotients(P, B, Q, None)
+        ks = topograph._real_quotients(P, B, Q)
         assert len(_cf(Fraction(-B, 2 * P))) > len(word) > len(ks) > 0
         assert ks == [k for _, k in word[:len(ks)]]
         (_, end), taken = both(walk, q, "L", _entry)
@@ -332,3 +332,33 @@ def test_cap_counts_batched_blocks():
     with batches() as taken, pytest.raises(AssertionError, match="its cap"):
         walk(q, "L", topograph._enters_fprime, n - 1)
     assert sum(taken) > 0
+
+
+def test_every_cap_stops_where_the_unit_walk_does():
+    # caps around the walk's length and inside its batches: a batch may
+    # pass the cap, but a walk returns exactly when the unit walk fits
+    q = moved((1, 1, 1), 1000, 3)
+    with unit_blocks():
+        word, _ = definite_blocks(q)
+    n, real, units, batched, inside = len(word), topograph._batch, [], [], []
+
+    def stop(*args):
+        units.append(args)
+        return topograph._enters_fprime(*args)
+
+    def recording(*args):
+        batch, end = real(*args)
+        start = len(units) + len(batched)  # the blocks walked before it
+        inside.extend(range(start + 1, start + len(batch)))
+        batched.extend(batch)
+        return batch, end
+
+    with mock.patch.object(topograph, "_batch", recording):
+        walk(q, "L", stop)
+    assert inside and inside[-1] < n
+    for cap in sorted({*range(n - 50, n + 4), *inside[::25]}):
+        if cap >= n:
+            assert walk(q, "L", topograph._enters_fprime, cap)[0] == word
+        else:
+            with pytest.raises(AssertionError, match="its cap"):
+                walk(q, "L", topograph._enters_fprime, cap)

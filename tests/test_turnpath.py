@@ -24,6 +24,19 @@ def test_adjacent_equal_runs_merge():
     assert TurnPath().then("L").then("R") != TurnPath().then("R").then("L")
 
 
+def test_repr_prints_runs():
+    assert repr(TurnPath.of("LLR")) == "TurnPath((('L', 2), ('R', 1)))"
+    assert repr(TurnPath()) == "TurnPath(())"
+    # an edge 2^113 turns from the lake prints its runs, not its turns
+    path = find_river(QuadForm(0, 2 ** 113 + 1, 3)).edges[5].path
+    best = math.inf
+    for _ in range(5):
+        t = time.perf_counter()
+        text = repr(path)
+        best = min(best, time.perf_counter() - t)
+    assert text == f"TurnPath({tuple(path.runs())!r})" and best < 0.001
+
+
 def _best_compare(p, q):
     best = math.inf
     for _ in range(5):
