@@ -320,8 +320,8 @@ def series_square(q, depth):
     r = q0.c
     g0 = gcd(m, r)
     s_res = pow(r, -1, m) if m > 1 and g0 == 1 else r
-    # the middle edge of a view over the square walk's own blocks, as
-    # find_river's, from the lake edge [r, -m, 0] = q0|S; or else that edge
+    # the middle edge of a view, as find_river's, over the square walk's own
+    # blocks from the lake edge [r, -m, 0] = q0|S; or else that lake edge
     _, word, forms = square_river_blocks(q0)
     edges = RiverEdges(_river_runs(word, forms, TurnPath()), 1)
     root = edges[edges.turns // 2] if edges else EdgeCursor(QuadForm(r, -m, 0))

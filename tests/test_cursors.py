@@ -52,7 +52,16 @@ def _cursors():
     ]
 
 
-@pytest.mark.parametrize("cur", _cursors(), ids=repr)
+def _cursor_id(cur):
+    # the path spelled turn by turn, as these cases were first named, so
+    # that TurnPath's repr by runs does not rename them
+    path = cur.path
+    if isinstance(path, TurnPath):
+        path = f"TurnPath({tuple(path)!r})"
+    return f"EdgeCursor(form={cur.form!r}, path={path})"
+
+
+@pytest.mark.parametrize("cur", _cursors(), ids=_cursor_id)
 def test_edge_cursor_matches_dataclass(cur):
     old = EdgeCursor(cur.form, cur.path)
     assert type(cur) is topograph.EdgeCursor
