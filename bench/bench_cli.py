@@ -10,8 +10,10 @@ and of a non-square positive discriminant (the latter walks every class
 river), a Pell solution, a river, a series theorem and a sum-of-three-
 squares count.  `test_cli_subprocess` runs `python -m topoforms.cli
 classnum --disc -23` in a fresh interpreter, so its time includes the
-interpreter's start-up and the package's imports.  Every case records its
-argv and exit code in `extra_info`.
+interpreter's start-up and the package's imports; `test_cli_startup` does
+the same for a subcommand of exact integer work (`reduce`), one that loads
+numpy (`series`) and a bare `python -c "import topoforms"`.  Every case
+records its argv and exit code in `extra_info`.
 """
 
 import contextlib
@@ -49,10 +51,9 @@ def test_cli_run(benchmark, argv):
     assert code == 0
 
 
-def test_cli_subprocess(benchmark):
+def _subprocess(benchmark, args):
     # includes interpreter start-up and imports
-    argv = [sys.executable, "-m", "topoforms.cli", "classnum", "--disc",
-            "-23"]
+    argv = [sys.executable, *args]
     # the library this process imported, whichever checkout it came from
     path = [os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__))),
             os.environ.get("PYTHONPATH")]
@@ -65,3 +66,22 @@ def test_cli_subprocess(benchmark):
     benchmark.extra_info.update({"argv": argv[1:], "exit_code": code,
                                  "includes": "interpreter start-up"})
     assert code == 0
+
+
+def test_cli_subprocess(benchmark):
+    _subprocess(benchmark, ["-m", "topoforms.cli", "classnum", "--disc",
+                            "-23"])
+
+
+STARTUP_CASES = [
+    ["-m", "topoforms.cli", "reduce", "--form", "47,-36,7"],
+    ["-m", "topoforms.cli", "series", "--theorem", "mik", "--disc", "-20",
+     "--depth", "8"],
+    ["-c", "import topoforms"],
+]
+
+
+@pytest.mark.parametrize("args", STARTUP_CASES,
+                         ids=lambda args: " ".join(args[1:]))
+def test_cli_startup(benchmark, args):
+    _subprocess(benchmark, args)

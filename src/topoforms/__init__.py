@@ -25,9 +25,27 @@ from .riverword import (Necklace, PellSolution, aut_structure,
                         necklace_of, negative_pell, pell_fundamental,
                         principal_form, river_period, symmetry,
                         topograph_of_necklace, topograph_of_word, word_of)
-from .series import (SeriesReport, W1, W2, eisenstein_check, hurwitz_series,
-                     root_product, root_product_all, series_neg,
-                     series_neg_profile, series_pos, series_seed,
-                     series_square, square_log_identity)
 
-__all__ = [n for n in dir() if not n.startswith("_")]
+# the series names load numpy and the quadrature tables, so they come from
+# their module on first use (PEP 562)
+_SERIES = ("SeriesReport", "W1", "W2", "eisenstein_check", "hurwitz_series",
+           "root_product", "root_product_all", "series_neg",
+           "series_neg_profile", "series_pos", "series_seed",
+           "series_square", "square_log_identity")
+
+__all__ = sorted({n for n in dir() if not n.startswith("_")}
+                 | {"series", *_SERIES})
+
+
+def __getattr__(name):
+    if name != "series" and name not in _SERIES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    series = import_module(".series", __name__)
+    value = globals()[name] = (series if name == "series"
+                               else getattr(series, name))
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

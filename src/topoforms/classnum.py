@@ -25,8 +25,6 @@ D/k^2 for exactly one k, so the table of h is
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
-
 from .exact import DomainError, check_discriminant, is_square, isqrt
 from .reduce import reduced_forms, zagier_classes
 
@@ -223,6 +221,7 @@ def upsilon_odd(n):
 def _wells_table(limit):
     """h*(D) for every -limit <= D < 0 as an int64 array indexed by |D|, 0
     where D is no discriminant."""
+    import numpy as np
     odd = np.zeros(limit + 1, np.int64)  # all-odd wells of n = |D|
     even = np.zeros(limit // 4 + 1, np.int64)  # all wells of n = |D|/4
     for sums, step in ((odd, 2), (even, 1)):

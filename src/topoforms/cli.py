@@ -18,8 +18,6 @@ from .reduce import (ReductionResult, gauss_cycle, reduce_negative,
 from .riverword import (Necklace, _h1_of, necklace_of, negative_pell,
                         pell_fundamental, principal_form,
                         topograph_of_necklace, topograph_of_word, word_of)
-from .series import (eisenstein_check, hurwitz_series, series_neg,
-                     series_pos, series_seed, series_square)
 from .topograph import EdgeCursor, export, find_river
 
 
@@ -182,6 +180,9 @@ def _cmd_topograph(ns):
 
 
 def _cmd_series(ns):
+    from .series import (eisenstein_check, hurwitz_series, series_neg,
+                         series_pos, series_seed, series_square)
+
     th = ns.theorem
     if th == "eisenstein":
         lhs, rhs = eisenstein_check(radius=ns.radius)

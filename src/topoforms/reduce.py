@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
-import numpy as np
-
 from .exact import DomainError, check_discriminant, is_square, isqrt
 from .forms import QuadForm, UniMat, turn_sequence_matrix
 from .topograph import (_quad_form, definite_blocks, floor_root,
@@ -212,6 +210,7 @@ def _class_rivers(D):
     """For each primitive class of a non-square D > 0, its river period in
     whole blocks, walked once from the class's first Z-reduced form in
     z_forms order, and its Zagier cycle in stepping order from that form."""
+    import numpy as np
     a, k, c = _omega(D)
     rows = np.stack((a, 2 * a - k, c))
     seen = set()
@@ -236,6 +235,7 @@ def zagier_classes(D):
 
 def _primes(n):
     """The primes up to n, by the sieve of Eratosthenes."""
+    import numpy as np
     sieve = np.ones(max(n + 1, 2), dtype=bool)
     sieve[:2] = False
     for p in range(2, isqrt(n) + 1):
@@ -268,6 +268,7 @@ def _sqrt_mod(n, p):
 def _roots(D, primes):
     """The pairs (p, r), r the roots of b^2 = D mod p, for odd primes p:
     +-m for D = m^2, Tonelli-Shanks otherwise, the one root 0 for p | D."""
+    import numpy as np
     if D > 0 and is_square(D):
         m = isqrt(D)
         r1, r2 = m % primes, -m % primes
@@ -297,6 +298,7 @@ def divisor_rows(D, start, stop):
     the values' low bits, prime powers by repeated division on the hit
     indices, and what the sieve leaves is 1 or a prime.  The divisors of
     every value are then expanded together, one prime factor at a time."""
+    import numpy as np
     check_discriminant(D)
     if start % 2 != D % 2:
         raise DomainError("b must have the parity of D")
@@ -374,6 +376,7 @@ def divisor_rows(D, start, stop):
 def _omega(D):
     """Omega_D as int64 arrays (a, k, c) in (k, a) order, with c the last
     coefficient of the forms [a, +-(2a - k), c]."""
+    import numpy as np
     if D <= 0:
         raise DomainError("omega_enumerate needs D > 0")
     root = isqrt(D)

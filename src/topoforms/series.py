@@ -7,8 +7,9 @@ Every vertex sum runs on the batch walker of `topograph`: the edge forms
 (a, b, c) of a topograph's levels in numpy arrays, in batches of at most
 _CHUNK edges, the shallow levels whole and the deep ones in depth-first
 slices, each edge with its group; the river sums read their river in
-whole blocks.  Every term is defined by IEEE 754 basic operations, each
-correctly rounded, so its value depends on no libm and no platform:
+whole blocks, _CHUNK hanging trees at a time.  Every term is defined by
+IEEE 754 basic operations, each correctly rounded, so its value depends on
+no libm and no platform:
 
 - labels are exact integers: int64 while every label of a slice of a level
   is below 2^58, so that every sum a term takes stays inside int64, and
@@ -26,7 +27,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 from math import fsum, gcd, log, pi
 
 import numpy as np
@@ -252,29 +253,37 @@ def series_pos(q, depth):
     except OverflowError:
         raise DomainError("D^(9/2) passes float range") from None
     sqD = math.sqrt(D)
-    sums1 = []
-    sums2 = []
-    hanging = []
-    for edge in find_river(q).edges:
-        a, b, c = edge.form
-        h = a + b + c
-        # where the river turns R the L child hangs, and else the R child
-        tree = (a, b + 2 * a, h) if h > 0 else (h, b + 2 * c, c)
-        et = float(abs(tree[1]))
-        sums1.append(sqD / et)
-        sums2.append(sqD / et + d32 / (3 * (et * et * et)))
-        hanging.append(tree)
-    # the hanging trees as one forest, a group each; `depth` counts edges
-    # beyond the hanging edge, so depth 0 has the tree's head vertex
-    s1, s2, n = _group_sums(partial(_tree_terms, (d32, d52, d92)),
-                            _levels(*zip(*hanging)), depth, len(hanging), True)
-    terms = len(hanging) + n
+    # the river in slices of _CHUNK hanging trees, each tree a group of the
+    # forest below the slice; `depth` counts edges beyond the hanging edge,
+    # so depth 0 has the tree's head vertex
+    parts = [[], []]  # floats with the exact totals of the two sums so far
+    terms = 0
+    edges = iter(find_river(q).edges)
+    while chunk := list(islice(edges, _CHUNK)):
+        if terms:  # the slices before, as a few exact parts per exponent
+            parts = [_exact_parts(np.array([p]))[0] for p in parts]
+        hanging = []
+        for edge in chunk:
+            a, b, c = edge.form
+            h = a + b + c
+            # where the river turns R the L child hangs, and else the R child
+            tree = (a, b + 2 * a, h) if h > 0 else (h, b + 2 * c, c)
+            et = float(abs(tree[1]))
+            parts[0].append(sqD / et)
+            parts[1].append(sqD / et + d32 / (3 * (et * et * et)))
+            hanging.append(tree)
+        s1, s2, n = _group_sums(partial(_tree_terms, (d32, d52, d92)),
+                                _levels(*zip(*hanging)), depth, len(chunk),
+                                True)
+        parts[0] += s1
+        parts[1] += s2
+        terms += len(chunk) + n
     # eps_D passes float range on long rivers; math.log takes its floor,
     # an integer within 1 of it, at any size
     eps = epsilon(D)
     target = 2 * log(finite_float(eps) or surd_floor(eps))
-    r1 = SeriesReport("mt", D, depth, fsum(sums1 + s1), target, terms)
-    r2 = SeriesReport("mt2", D, depth, fsum(sums2 + s2), target, terms)
+    r1 = SeriesReport("mt", D, depth, fsum(parts[0]), target, terms)
+    r2 = SeriesReport("mt2", D, depth, fsum(parts[1]), target, terms)
     return r1, r2
 
 

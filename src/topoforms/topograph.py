@@ -20,8 +20,6 @@ from functools import partial
 from itertools import chain, cycle, groupby, repeat
 from typing import NamedTuple
 
-import numpy as np
-
 from .exact import DomainError, is_square, isqrt
 from .forms import QuadForm, _run_product
 
@@ -167,11 +165,13 @@ _LABEL_MAX = 1 << 58  # labels below this keep every sum of a term in int64
 def _labels(*cols):
     """Columns of integer labels as int64 arrays, or as object arrays of
     Python ints when some label reaches _LABEL_MAX."""
+    import numpy as np
     wide = any(abs(v) >= _LABEL_MAX for col in cols for v in col)
     return [np.array(col, dtype=object if wide else np.int64) for col in cols]
 
 
 def _interleave(x, y):
+    import numpy as np
     out = np.empty(2 * len(x), dtype=x.dtype)
     out[0::2] = x
     out[1::2] = y
@@ -182,6 +182,7 @@ def _levels(a, b, c):
     """The levels below the edges (a, b, c), lists of ints or label arrays:
     each parent's L child (a, b+2a, a+b+c) just before its R child
     (a+b+c, b+2c, c), so each edge's subtree is a run of every level."""
+    import numpy as np
     if not isinstance(a, np.ndarray):
         a, b, c = _labels(a, b, c)
     while True:
@@ -216,6 +217,7 @@ def _batches(levels, depth, size, trees=False, first=0, start=0):
     shallow levels come whole in one batch; a level that does not fit, in
     slices of `size` edges, each walked the same way below it, depth-first.
     No batch mixes int64 labels and Python ints."""
+    import numpy as np
     runs = []
     for level, (a, b, c) in zip(range(first, depth + 1), levels):
         if (sum(len(r[1]) for r in runs) + len(a) > size

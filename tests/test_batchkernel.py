@@ -12,6 +12,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -131,6 +132,37 @@ def test_sums_do_not_depend_on_the_chunk(monkeypatch, size):
     monkeypatch.setattr(series, "_CHUNK", size)
     for (fn, *args), bits in zip(_CASES, want):
         assert _bits(fn(*args)) == bits, (fn.__name__, args)
+
+
+# ----------------------------------------------------------- river slices
+
+@pytest.mark.parametrize("size", [1, 5, 64])
+def test_river_slices_give_the_same_reports(monkeypatch, size):
+    # rivers of 6 to 2,000 edges, some split into hundreds of slices
+    cases = [(series_seed(96), 6), (QuadForm(1, 1000, -1), 0),
+             (QuadForm(1, 97, -1), 3), (_alternating(76), 4),
+             (series_seed(1005), 5)]
+    want = [series_pos(q, d) for q, d in cases]
+    monkeypatch.setattr(series, "_CHUNK", size)
+    for (q, d), reports in zip(cases, want):
+        assert series_pos(q, d) == reports, (q, d)
+
+
+@pytest.mark.parametrize("depth", [0, 2])
+def test_river_sums_in_memory_bounded_by_a_slice(monkeypatch, depth):
+    # rivers of 600 and 6,000 edges in slices of 64 trees; held whole, the
+    # longer river's lists took about 7 times the traced peak of the shorter
+    monkeypatch.setattr(series, "_CHUNK", 64)
+    series_pos(QuadForm(1, 10, -1), depth)
+    peaks = []
+    for n in (300, 3000):
+        tracemalloc.start()
+        try:
+            series_pos(QuadForm(1, n, -1), depth)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 # ------------------------------------------------------------ float range
