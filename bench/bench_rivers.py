@@ -14,14 +14,18 @@ long block).  `test_river_hash` hashes the edges view of the first two
 (at D = 100000037 a hash that expands every edge's path would take
 minutes), and `reduce_simple_cycle` also runs on [-1, 10^6, 1], a period of
 two blocks of about 10^6 turns, recording the entries of its `steps` as
-`steps`.  The river readers `pell_fundamental`, `negative_pell`,
-`necklace_of` and `symmetry` run on the same three principal forms and on
-[1, n, -1] for n = 10^3, 10^4, 10^5 and 10^6, whose river is two blocks
-of n turns: the Pell readers on the form's D, whose principal class it is.
-Each benchmark records in `extra_info` the unit edges of the river, or its
-turns for the readers, and its blocks, and the median time per edge (or
-turn) and per block in microseconds.  The forms start on their river, or
-are reduced square-D forms, so the walk to it costs nothing here.
+`steps`.  The river readers `river_period`, `pell_fundamental`,
+`negative_pell`, `necklace_of` and `symmetry` run on the same three
+principal forms and on [1, n, -1] for n = 10^3, 10^4, 10^5 and 10^6, whose
+river is two blocks of n turns: the readers of a discriminant on the
+form's D, whose principal class it is.  The two Pell readers also run on
+D = 10^12 + 37, a period of 61,904 blocks.  Each benchmark records in
+`extra_info` the unit edges of the river, or its turns for the readers,
+and its blocks, and the median time per edge (or turn) and per block in
+microseconds; a reader also records as `walked` the blocks its walks
+take, half the period for the readers of a discriminant.  The forms start
+on their river, or are reduced square-D forms, so the walk to it costs
+nothing here.
 
 The walk onto the river or into the well runs on big coefficients:
 `river_walk`, `reduce_simple_cycle` and `reduce_negative` on [1, 0, -2]
@@ -35,16 +39,20 @@ import random
 
 import pytest
 
+import topoforms.riverword
+import topoforms.topograph
 from topoforms.exact import is_square
 from topoforms.forms import QuadForm
 from topoforms.reduce import reduce_negative, reduce_simple_cycle
 from topoforms.riverword import (necklace_of, negative_pell,
-                                  pell_fundamental, principal_form, symmetry)
+                                  pell_fundamental, principal_form,
+                                  river_period, symmetry)
 from topoforms.topograph import (block_step, find_river, river_walk,
-                                 square_river_blocks)
+                                 square_river_blocks, walk)
 
 DISCS = [1003033, 2000133, 100000037]
 READERS = {
+    "river_period": lambda q: river_period(q.discriminant()),
     "pell_fundamental": lambda q: pell_fundamental(q.discriminant()),
     "negative_pell": lambda q: negative_pell(q.discriminant()),
     "necklace_of": necklace_of,
@@ -53,6 +61,7 @@ READERS = {
 READER_FORMS = ([pytest.param(principal_form(D), id=f"D{D}") for D in DISCS]
                 + [pytest.param(QuadForm(1, 10 ** k, -1), id=f"n1e{k}")
                    for k in (3, 4, 5, 6)])
+PELL_FORMS = [pytest.param(principal_form(10 ** 12 + 37), id="D1e12p37")]
 
 
 def _fibonacci(n):
@@ -129,11 +138,40 @@ def test_reduce_simple_cycle_two_long_blocks(benchmark):
     benchmark.extra_info["steps"] = len(res.steps)
 
 
+def _walked(fn, q):
+    # the blocks fn(q) walks: stop calls of every block walk, counted
+    count = [0]
+
+    def counted(form, letter, stop, cap=None):
+        def counted_stop(*args):
+            count[0] += 1
+            return stop(*args)
+        return walk(form, letter, counted_stop, cap)
+
+    modules = (topoforms.riverword, topoforms.topograph)
+    for module in modules:
+        module.walk = counted
+    try:
+        fn(q)
+    finally:
+        for module in modules:
+            module.walk = walk
+    return count[0]
+
+
 @pytest.mark.parametrize("q", READER_FORMS)
 @pytest.mark.parametrize("reader", READERS)
 def test_river_reader(benchmark, reader, q):
+    benchmark.extra_info["walked"] = _walked(READERS[reader], q)
     out = _run(benchmark, READERS[reader], q, "turn")
     assert out is not None or reader == "negative_pell"
+
+
+@pytest.mark.parametrize("q", PELL_FORMS)
+@pytest.mark.parametrize("reader", ["pell_fundamental", "negative_pell"])
+def test_pell_reader(benchmark, reader, q):
+    benchmark.extra_info["walked"] = _walked(READERS[reader], q)
+    _run(benchmark, READERS[reader], q, "turn")
 
 
 def _far(form, blocks):

@@ -15,9 +15,9 @@ from .exact import DomainError, Surd, finite_float, is_square
 from .forms import QuadForm
 from .reduce import (ReductionResult, gauss_cycle, reduce_negative,
                      reduce_simple_cycle, reduce_square, zagier_cycle)
-from .riverword import (Necklace, _h1_of, necklace_of, negative_pell,
-                        pell_fundamental, principal_form,
-                        topograph_of_necklace, topograph_of_word, word_of)
+from .riverword import (Necklace, _h1_of, _pell_pair, necklace_of,
+                        principal_form, topograph_of_necklace,
+                        topograph_of_word, word_of)
 from .topograph import EdgeCursor, export, find_river
 
 
@@ -108,12 +108,11 @@ def _cmd_classnum(ns):
 
 def _cmd_pell(ns):
     D = ns.disc
-    s = pell_fundamental(D)
+    s, neg = _pell_pair(D)  # one walk for both solutions
     eps = Surd(s.t, s.u, 2, D)  # epsilon(D) would walk the river again
     doc = {"discriminant": str(D), "t": str(s.t), "u": str(s.u),
            "epsilon": f"({s.t}+{s.u}*sqrt({D}))/2",
            "epsilon_approx": finite_float(eps)}  # null beyond float range
-    neg = negative_pell(D)
     if neg is not None:
         doc["t_star"] = str(neg.t)
         doc["u_star"] = str(neg.u)

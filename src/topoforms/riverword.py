@@ -1,5 +1,6 @@
 """River periods, Pell fundamental solutions, automorphs, necklace and word
-encodings of classes, symmetry flags, and wide-sense class numbers."""
+encodings of classes, symmetry flags, and wide-sense class numbers; the
+readers of a D walk half its mirror-symmetric principal river period."""
 
 from dataclasses import dataclass
 from itertools import groupby
@@ -7,9 +8,9 @@ from math import gcd
 
 from .classnum import euler_phi, h_neg, h_pos
 from .exact import DomainError, Surd, check_discriminant, is_square, isqrt
-from .forms import QuadForm, UniMat, act, turn_sequence_matrix
-from .topograph import (period_blocks, river_walk, square_reduction,
-                        square_river_blocks)
+from .forms import (QuadForm, UniMat, _mul, _run_product, act,
+                    turn_sequence_matrix)
+from .topograph import river_walk, square_reduction, square_river_blocks, walk
 
 
 @dataclass(frozen=True)
@@ -88,23 +89,71 @@ def _check_real(D):
     check_discriminant(D)
 
 
+def _principal_period(D, matrix=True):
+    """river_period(D) off half the period, the matrix only if asked: the
+    principal class is ambiguous, so its period is palindromic.  The walk
+    from [1, b0, c], an L block first, ends on the centre C, the first block
+    to end on the -b it began on (b = k a after L^k, b = k c after R^k).
+    With P = L^k0 ... the blocks before C, the period is P, C, P[1:]
+    reversed and L^(k0 + b0), zero blocks dropped, and its matrix P C P'
+    L^b0, where P' = J P^T J = (de be; ga al) is P reversed."""
+    _check_real(D)
+    b0 = D % 2  # the principal form's b
+    half, _ = walk(principal_form(D), "L", lambda a, b, c, letter, k:
+                   0 if b == k * (a if letter == "L" else c) else None)
+    word = [x for x in half + half[-2:0:-1] + [("L", half[0][1] + b0)] if x[1]]
+    if not matrix:
+        return word, None
+    al, be, ga, de = turn_sequence_matrix(half[:-1])
+    pc = _mul((al, be, ga, de), _run_product(half[-1:]))
+    return word, tuple.__new__(UniMat,
+                               _mul(pc, (de, de * b0 + be, ga, ga * b0 + al)))
+
+
+def _period_runs(word):
+    # whole blocks as runs, -k for L^k and k for R^k, as in period_blocks
+    runs = [-k if letter == "L" else k for letter, k in word]
+    if (runs[0] < 0) == (runs[-1] < 0):  # the run the period wraps inside
+        runs[0] += runs.pop()
+    return runs
+
+
+def _letters(runs):
+    return [("L", -k) if k < 0 else ("R", k) for k in runs]
+
+
 def river_period(D):
     """One period of the principal river as a run-length word plus its
     matrix product M = L^a0 R^a1 ..."""
-    _check_real(D)
-    word = river_walk(principal_form(D)).word
-    return list(word), turn_sequence_matrix(word)
+    return _principal_period(D)
 
 
-def pell_fundamental(D):
-    """Smallest positive (t, u) with t^2 - D u^2 = 4, off the river matrix."""
-    _, m = river_period(D)
-    al, be, ga, de = m
+def _pell_pair(D, minus=True):
+    # pell_fundamental(D) and, if asked, negative_pell(D), from one walk
+    word, (al, be, ga, de) = _principal_period(D)
     t = al + de
     u = gcd(gcd(ga, de - al), be)
     if t * t - D * u * u != 4:  # pragma: no cover
         raise AssertionError("river matrix did not solve the Pell equation")
-    return PellSolution(t, u, 4)
+    return PellSolution(t, u, 4), _minus_solution(D, word) if minus else None
+
+
+def pell_fundamental(D):
+    """Smallest positive (t, u) with t^2 - D u^2 = 4, off the river matrix."""
+    return _pell_pair(D, minus=False)[0]
+
+
+def _minus_solution(D, word):
+    runs = _period_runs(word)
+    half = len(runs) // 2
+    if half % 2 == 0 or any(runs[i] != -runs[i + half] for i in range(half)):
+        return None
+    al, be, ga, de = turn_sequence_matrix(_letters(runs[:half]))
+    t = be + ga
+    u = gcd(gcd(de, ga - be), al)
+    if t > 0 and t * t - D * u * u == -4:
+        return PellSolution(t, u, -4)
+    return None
 
 
 def negative_pell(D):
@@ -116,18 +165,7 @@ def negative_pell(D):
     carry different letters, and every block i has the length of block
     i + B/2; X is then the first B/2 blocks, and (t, u) is read off its
     matrix and checked against the equation."""
-    _check_real(D)
-    blocks = [block[:2] for block in period_blocks(principal_form(D))]
-    half = len(blocks) // 2
-    if half % 2 == 0 or any(blocks[i][1] != blocks[i + half][1]
-                            for i in range(half)):
-        return None
-    al, be, ga, de = turn_sequence_matrix(blocks[:half])
-    t = be + ga
-    u = gcd(gcd(de, ga - be), al)
-    if t > 0 and t * t - D * u * u == -4:
-        return PellSolution(t, u, -4)
-    return None
+    return _minus_solution(D, _principal_period(D, False)[0])
 
 
 def epsilon(D):
@@ -185,13 +223,12 @@ def necklace_of(x):
     given form's class."""
     if isinstance(x, QuadForm):
         _check_real(x.discriminant())
+        word = river_walk(x).word
     else:
-        _check_real(x)
-        x = principal_form(x)
+        word = _principal_period(x, False)[0]
     # a river period alternates its letters and is primitive
     n = object.__new__(Necklace)
-    n.runs = _least_rotation(tuple(-k if c == "L" else k
-                                   for c, k, _ in period_blocks(x)))
+    n.runs = _least_rotation(tuple(_period_runs(word)))
     return n
 
 
@@ -199,8 +236,7 @@ def topograph_of_necklace(n):
     """Primitive simple form whose river period reads the given necklace."""
     if not isinstance(n, Necklace):
         n = Necklace(n)
-    al, be, ga, de = turn_sequence_matrix([("L", -k) if k < 0 else ("R", k)
-                                           for k in n.runs])
+    al, be, ga, de = turn_sequence_matrix(_letters(n.runs))
     g = gcd(gcd(ga, de - al), be)
     return QuadForm(ga // g, (de - al) // g, -be // g)
 
