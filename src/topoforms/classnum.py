@@ -166,15 +166,16 @@ def r3_via_class(n):
 
 
 def r3p_via_class(n):
-    """Primitive r3 by the class-number formula, valid for n > 3."""
-    if n <= 3:
-        raise DomainError("formula needs n > 3")
+    """Primitive r3 by the class-number formula, for n >= 1: the classes of
+    D = -4 and -3 (n = 1 and 3) weigh as in H."""
+    if n <= 0:
+        raise DomainError("needs n >= 1")
     m = n % 8
     if m in (0, 4, 7):
         return 0
-    if m == 3:
-        return 12 * (h_neg(-4 * n) - h_neg(-n))
-    return 12 * h_neg(-4 * n)
+    w = dict(_AUT_WEIGHTS)
+    h = w.get(4 * n, h_neg(-4 * n)) - (w.get(n, h_neg(-n)) if m == 3 else 0)
+    return int(12 * h)
 
 
 def upsilon(n):

@@ -3,29 +3,27 @@ complex quadratic surds one algorithm, the topograph's integer block walk on
 the form whose first root is the surd.  `real_cf` reads a real surd's
 preperiod and period off the walk; `general_cf` and `lr_decompose` walk a
 definite form into the fundamental domain F' of the extended modular group,
-and build the tail surd once, from the form the walk ends on.
+and build the tail surd once, from the form the walk ends on.  Expansions are
+named tuples (terms, period, tail), as every result record is.
 """
+
+from collections import namedtuple
 
 from .exact import DomainError, Rat, Surd
 from .topograph import definite_blocks, is_reduced_neg, walk
 
 
-class CFExpansion:
+class CFExpansion(namedtuple("CFExpansion", "terms period tail")):
     """Partial quotients a0, a1, ... plus either a repeating period (real
     quadratic surds) or a complex tail z0 in F' (complex inputs)."""
 
-    __slots__ = ("terms", "period", "tail")
+    __slots__ = ()
 
-    def __init__(self, terms, period=None, tail=None):
-        self.terms = list(terms)
-        self.period = list(period) if period is not None else None
-        self.tail = tail
+    def __new__(cls, terms, period=None, tail=None):
+        period = None if period is None else list(period)
+        return tuple.__new__(cls, (list(terms), period, tail))
 
-    def __eq__(self, other):
-        if not isinstance(other, CFExpansion):
-            return NotImplemented
-        return (self.terms == other.terms and self.period == other.period
-                and self.tail == other.tail)
+    _make = classmethod(lambda cls, items: cls(*items))  # _replace copies too
 
     def __repr__(self):
         bits = ",".join(str(a) for a in self.terms)

@@ -1,7 +1,8 @@
 """Quadratic forms [a,b,c], unimodular matrices, the substitution action q|M,
 exact roots, and the elementary topograph moves L, R, S, U.  Forms, matrices
 and root pairs are named tuples: they unpack, index, compare and hash as
-plain tuples, and they copy and pickle."""
+plain tuples, and they copy and pickle.  So is every result record of the
+package, from `ReductionResult` to `CFExpansion`."""
 
 from collections import namedtuple
 from math import gcd

@@ -17,7 +17,6 @@ und quadratische Koerper, 1981; Buchmann-Vollmer, Binary Quadratic Forms,
    to the one before it in river order.
 """
 
-from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
@@ -28,8 +27,7 @@ from .topograph import (_quad_form, definite_blocks, floor_root,
                         square_reduction)
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(NamedTuple):
     canonical: object  # QuadForm, or tuple of QuadForm for cycles
     transform: UniMat  # act(input, transform) == first canonical form
     steps: tuple  # (letter, k) blocks whose product is transform

@@ -2,9 +2,9 @@
 encodings of classes, symmetry flags, and wide-sense class numbers; the
 readers of a D walk half its mirror-symmetric principal river period."""
 
-from dataclasses import dataclass
 from itertools import groupby
 from math import gcd
+from typing import NamedTuple
 
 from .classnum import euler_phi, h_neg, h_pos
 from .exact import DomainError, Surd, check_discriminant, is_square, isqrt
@@ -13,8 +13,7 @@ from .forms import (QuadForm, UniMat, _mul, _run_product, act,
 from .topograph import river_walk, square_reduction, square_river_blocks, walk
 
 
-@dataclass(frozen=True)
-class PellSolution:
+class PellSolution(NamedTuple):
     t: int
     u: int
     sign: int  # +4 or -4
@@ -282,12 +281,18 @@ def symmetry(q):
     D = q.discriminant()
     if D <= 0:
         raise DomainError("symmetry is read from a river; needs D > 0")
-    code = (lambda x: square_reduction(x)[1]) if is_square(D) else necklace_of
     a, b, c = q
-    w = code(q)
-    return {"q~q*": code(QuadForm(a, -b, c)) == w,
-            "q~-q": code(QuadForm(-a, -b, -c)) == w,
-            "q~-q*": code(QuadForm(-a, b, -c)) == w}
+    if is_square(D):
+        codes = [square_reduction(x)[1] for x in (
+            q, QuadForm(a, -b, c), QuadForm(-a, -b, -c), QuadForm(-a, b, -c))]
+    else:
+        # one walk: q*'s river reads q's backwards, -q*'s switches its
+        # letters, and -q's does both
+        runs = tuple(_period_runs(river_walk(q).word))
+        flip = tuple(-k for k in runs)
+        codes = map(_least_rotation, (runs, runs[::-1], flip[::-1], flip))
+    w, star, neg, neg_star = codes
+    return {"q~q*": star == w, "q~-q": neg == w, "q~-q*": neg_star == w}
 
 
 def h1(D):

@@ -25,10 +25,10 @@ no libm and no platform:
 
 import json
 import math
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
 from math import fsum, gcd, log, pi
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +48,7 @@ POINCARE_ALL_ONES = 3 * pi / 2
 POINCARE_ONE_TWO_TWO = 3 * pi / 4
 
 
-@dataclass(frozen=True)
-class SeriesReport:
+class SeriesReport(NamedTuple):
     theorem: str
     discriminant: int
     depth: int

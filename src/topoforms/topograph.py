@@ -15,7 +15,6 @@ import operator
 import sys
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, cycle, groupby, repeat
 from typing import NamedTuple
@@ -110,8 +109,7 @@ class VertexView(NamedTuple):
 _vertex_view = partial(tuple.__new__, VertexView)  # skips __new__'s call
 
 
-@dataclass(frozen=True)
-class RiverDescriptor:
+class RiverDescriptor(NamedTuple):
     """A river: one period for non-square D > 0 ("periodic"), or the stretch
     from lake to lake for square D ("finite").  `edges` (EdgeCursor) and
     `word` (the L/R letter taken along each edge) are read-only sequence
@@ -125,8 +123,7 @@ class RiverDescriptor:
     word: "RiverWord"
 
 
-@dataclass(frozen=True)
-class WellDescriptor:
+class WellDescriptor(NamedTuple):
     kind: str  # "vertex_well" or "edge_well"
     at: EdgeCursor
     labels: tuple

@@ -22,8 +22,9 @@ from topoforms.classnum import hurwitz
 from topoforms.exact import DomainError, is_square
 from topoforms.forms import QuadForm
 from topoforms.riverword import Necklace, topograph_of_necklace
-from topoforms.series import (hurwitz_series, series_neg, series_neg_profile,
-                              series_pos, series_seed, series_square)
+from topoforms.series import (SeriesReport, hurwitz_series, series_neg,
+                              series_neg_profile, series_pos, series_seed,
+                              series_square)
 from topoforms.topograph import (_LABEL_MAX, EdgeCursor, _batches, _levels,
                                  ball_levels)
 
@@ -98,7 +99,7 @@ def _bits(result):
     """A series result with every float as its hex string."""
     if isinstance(result, dict):
         return {d: tuple(v.hex() for v in vals) for d, vals in result.items()}
-    reports = result if isinstance(result, tuple) else (result,)
+    reports = (result,) if isinstance(result, SeriesReport) else result
     assert all(type(r.terms_used) is int for r in reports)
     return [(r.value.hex(), r.terms_used) for r in reports]
 

@@ -87,6 +87,13 @@ def test_r3_class_formula_matches_brute(n):
         assert r3p_via_class(n) == r3_primitive(n)
 
 
+def test_r3_primitive_class_formula_from_n_1():
+    # n = 1 and 3 weigh the classes of D = -4 and -3 by their automorphs
+    assert [r3p_via_class(n) for n in (1, 2, 3)] == [6, 12, 8]
+    for n in range(1, 2001):
+        assert r3p_via_class(n) == r3_primitive(n), n
+
+
 def test_r3_edge_cases():
     assert r3(0) == 1
     assert r3(1) == 6

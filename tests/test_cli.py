@@ -140,6 +140,14 @@ def test_r3(capsys):
     assert doc["count"] == "48"
 
 
+def test_r3_primitive_small_n(capsys):
+    for n, count in ((1, "6"), (2, "12"), (3, "8")):
+        for method in ("class", "brute"):
+            doc = _json_out(capsys, ["r3", "--n", str(n), "--primitive",
+                                     "--method", method, "--json"])
+            assert doc["count"] == count, (n, method)
+
+
 def test_exit_codes(capsys):
     assert run([]) == 1  # no subcommand
     assert run(["reduce", "--form", "1,2"]) == 1  # malformed form

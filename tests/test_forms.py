@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import pickle
 from functools import reduce
 from operator import matmul
@@ -8,16 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from topoforms.contfrac import general_cf, real_cf
+from topoforms.contfrac import CFExpansion, general_cf, real_cf
 from topoforms.exact import INF, DomainError, Rat, Surd
 from topoforms.forms import (ID, MAT_L, MAT_R, MAT_S, MAT_U, QuadForm, UniMat,
                              act, content_split, mobius, roots,
                              turn_sequence_matrix)
-from topoforms.reduce import (gauss_cycle, reduce_negative, reduce_simple_cycle,
-                              reduce_square, zagier_cycle)
-from topoforms.riverword import Necklace, pell_fundamental
-from topoforms.series import series_neg
-from topoforms.topograph import (EdgeCursor, TurnPath, find_river, find_well,
+from topoforms.reduce import (ReductionResult, gauss_cycle, reduce_negative,
+                              reduce_simple_cycle, reduce_square, zagier_cycle)
+from topoforms.riverword import Necklace, PellSolution, pell_fundamental
+from topoforms.series import SeriesReport, series_neg
+from topoforms.topograph import (EdgeCursor, RiverDescriptor, TurnPath,
+                                 WellDescriptor, find_river, find_well,
                                  head_view, period_blocks, river_walk)
 
 COEF = st.integers(-40, 40)
@@ -186,12 +186,59 @@ def test_results_copy_and_pickle(name, how):
 
 def test_value_types_as_dicts():
     red = reduce_negative(QuadForm(47, -36, 7))
-    assert dataclasses.asdict(red) == {
+    assert red._asdict() == {
         "canonical": red.canonical, "transform": red.transform,
         "steps": red.steps, "negated": red.negated}
     well = find_well(QuadForm(7, 3, 11))
-    assert dataclasses.asdict(well) == {
+    assert well._asdict() == {
         "kind": well.kind, "at": well.at, "labels": well.labels}
+
+
+# each result record, its fields and defaults, and a value of it
+RECORDS = [
+    (ReductionResult, "canonical transform steps negated", {"negated": False},
+     "reduce-negative"),
+    (PellSolution, "t u sign", {}, "pell"),
+    (RiverDescriptor, "kind edges word", {}, "river-periodic"),
+    (WellDescriptor, "kind at labels", {}, "well"),
+    (SeriesReport, "theorem discriminant depth value target terms_used", {},
+     "series-report"),
+    (CFExpansion, "terms period tail", {}, "real-cf"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, defaults, name", RECORDS,
+                         ids=[r[0].__name__ for r in RECORDS])
+def test_result_records_are_named_tuples(cls, fields, defaults, name):
+    x = VALUES[name]
+    x = x[0] if cls is SeriesReport else x
+    assert issubclass(cls, tuple) and type(x) is cls
+    assert cls._fields == tuple(fields.split())
+    assert cls._field_defaults == defaults
+    assert tuple(x) == tuple(getattr(x, f) for f in cls._fields)
+    for field in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(x, field, None)
+    with pytest.raises(AttributeError):
+        x.other = None
+
+
+def test_result_record_reprs():
+    # as the frozen dataclasses these records were printed
+    assert repr(reduce_negative(QuadForm(47, -36, 7))) == (
+        "ReductionResult(canonical=[2,2,3], transform=(1 -1; 3 -2), "
+        "steps=(('L', 0), ('R', 2), ('L', 1), ('S', 1)), negated=False)")
+    assert repr(pell_fundamental(13)) == "PellSolution(t=11, u=3, sign=4)"
+    assert repr(find_well(QuadForm(7, 3, 11))) == (
+        "WellDescriptor(kind='vertex_well', at=EdgeCursor(form=[7,3,11], "
+        "path=TurnPath(())), labels=(3, 11, 19))")
+    assert repr(series_neg(QuadForm(1, 0, 5), 3)[0]) == (
+        "SeriesReport(theorem='mik', discriminant=-20, depth=3, "
+        "value=11.502363048713244, target=12.566370614359172, terms_used=22)")
+    cf = CFExpansion((1, 2), period=iter([3]))
+    assert cf == ([1, 2], [3], None) and CFExpansion([1]) == ([1], None, None)
+    assert cf._replace(period=(4,)).period == [4]
+    assert repr(cf) == "<1,2;(3)>"
 
 
 def test_value_types_reprs_and_checks():

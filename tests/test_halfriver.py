@@ -7,6 +7,7 @@ references below are the full-period readers they replace: the whole
 `river_walk` period, and `period_blocks` for the -4 test and the necklace.
 """
 
+from itertools import product
 from math import gcd
 
 import pytest
@@ -15,10 +16,10 @@ from hypothesis import assume, given, settings, strategies as st
 import topoforms.riverword as rw
 import topoforms.topograph as tg
 from topoforms.exact import is_square
-from topoforms.forms import turn_sequence_matrix
+from topoforms.forms import QuadForm, turn_sequence_matrix
 from topoforms.riverword import (_least_rotation, _pell_pair, necklace_of,
                                  negative_pell, pell_fundamental,
-                                 principal_form, river_period)
+                                 principal_form, river_period, symmetry)
 from topoforms.topograph import period_blocks, river_walk
 
 
@@ -168,3 +169,18 @@ def test_walk_length_every_disc_to_2000(counted_walk):
                for D in range(5, 2001) if _is_real_disc(D)}
     for D, blocks in lengths.items():
         _assert_half_walk(counted_walk, D, blocks)
+
+
+def test_symmetry_walks_one_river(counted_walk):
+    # q*, -q and -q* are read off q's river, not walked again
+    for q in map(QuadForm._make, product(range(-6, 7), repeat=3)):
+        D = q.discriminant()
+        if D > 0 and not is_square(D) and q.content() == 1:
+            counted_walk.update(walks=0, blocks=0)
+            symmetry(q)
+            assert counted_walk["walks"] == 1, q
+    q = principal_form(100000037)
+    counted_walk.update(walks=0, blocks=0)
+    symmetry(q)
+    assert counted_walk["walks"] == 1
+    assert counted_walk["blocks"] <= len(period_blocks(q)) + 2

@@ -41,14 +41,28 @@ def test_import_loads_neither_numpy_nor_series():
     assert _fresh(f"import json, sys, topoforms\n{_LOADED}") == [False, False]
 
 
-@pytest.mark.parametrize("argv", [
-    "reduce --form 1,0,-24", "reduce --form -3,5,7", "classnum --disc -23",
-    "classnum --disc 49", "pell --disc 13", "necklace --disc 13",
-    "word --disc 49", "river --form 1,3,-1", "r3 --n 100",
-    "r3 --n 100 --method class"])
+_EXACT = ["reduce --form 1,0,-24", "reduce --form -3,5,7",
+          "classnum --disc -23", "classnum --disc 49", "pell --disc 13",
+          "necklace --disc 13", "word --disc 49", "river --form 1,3,-1",
+          "r3 --n 100", "r3 --n 100 --method class"]
+
+
+@pytest.mark.parametrize("argv", _EXACT)
 def test_exact_subcommands_load_neither(argv):
     code = ("import json, sys\nfrom topoforms import cli\n"
             f"assert cli.run({argv.split()!r}) == 0\n{_LOADED}")
+    assert _fresh(code) == [False, False]
+
+
+@pytest.mark.parametrize("argv", [None] + _EXACT)
+def test_records_load_neither_dataclasses_nor_inspect(argv):
+    # the result records are named tuples, which need neither
+    code = "import json, sys, topoforms\n"
+    if argv:
+        code += ("from topoforms import cli\n"
+                 f"assert cli.run({argv.split()!r}) == 0\n")
+    code += ("print(json.dumps(['dataclasses' in sys.modules, "
+             "'inspect' in sys.modules]))")
     assert _fresh(code) == [False, False]
 
 
