@@ -15,9 +15,9 @@ Put n = |D| (D odd) or |D|/4 (D even); then h*(D) is
 
 with the last sum for even D only, and the first two restricted to all-odd
 solutions for odd D.  For fixed (f, g) the sums over e > f form a
-progression with stride f + g (2(f + g) all-odd), added as one numpy slice,
-O(limit) slices in all.  Every class of D is k times a primitive class of
-D/k^2 for exactly one k, so the table of h is
+progression with stride f + g (2(f + g) all-odd): a numpy slice add if long,
+a share of a bounded np.bincount batch if short.  Every class of D is k
+times a primitive class of D/k^2 for exactly one k, so the table of h is
 
     h(D) = sum of mu(k) h*(D/k^2) over k^2 | D with D/k^2 a discriminant.
 """
@@ -151,10 +151,10 @@ def r3_primitive(n):
 
 def r3_via_class(n):
     """r3 by the Hurwitz class-number formula (with the n/4 recursion)."""
-    if n <= 0:
-        raise DomainError("needs n >= 1")
+    if n < 0:
+        raise DomainError("needs n >= 0")
     if n % 4 == 0:
-        return r3_via_class(n // 4)
+        return r3_via_class(n // 4) if n else 1  # (0, 0, 0) for n = 0
     if n % 8 == 7:
         return 0
     if n % 8 == 3:
@@ -166,10 +166,10 @@ def r3_via_class(n):
 
 
 def r3p_via_class(n):
-    """Primitive r3 by the class-number formula, for n >= 1: the classes of
+    """Primitive r3 by the class-number formula, for n >= 0: the classes of
     D = -4 and -3 (n = 1 and 3) weigh as in H."""
-    if n <= 0:
-        raise DomainError("needs n >= 1")
+    if n < 0:
+        raise DomainError("needs n >= 0")
     m = n % 8
     if m in (0, 4, 7):
         return 0
@@ -219,57 +219,85 @@ def upsilon_odd(n):
 
 # -------------------------------------------------------------- batch tables
 
+# progressions of over _SHORT terms get a slice add, the rest np.bincount
+_SHORT, _BATCH = 192, 1 << 16  # _BATCH (+ _SHORT) indices per bincount
+
+
+def _wells(top, step):
+    """The wells with sums n <= top as progressions (start, stride, weight);
+    all-odd ones (step 2) have n = 3 mod 4 and count at n // 4."""
+    import numpy as np
+    # with m = f + g, e > f > g sum to m(m + step) - g^2 at e = f + step, at
+    # most top while 2m + step <= root, which floors exactly below 2^52
+    g = np.arange(1, isqrt(top // 3) + 1, step)
+    root = np.sqrt(4 * (top + g * g) + step * step).astype(np.int64)
+    nm = np.maximum(((root - step) // 2 - 2 * g) // step, 0)
+    g = np.repeat(g, nm)
+    k = np.arange(1, len(g) + 1) - np.repeat(np.cumsum(nm) - nm, nm)
+    m = 2 * g + step * k  # k = 1 .. nm for each g
+    e = np.arange(1, isqrt(top + 1), step)  # e^2 + 2ef over f > 0
+    d = np.arange(1, isqrt(top) + 1 if step == 1 else 1)  # ef over e >= f
+    return [((m * (m + step) - g * g) // step ** 2, m // step, 2),
+            ((e * e + 2 * e) // step ** 2, 2 * e // step, 1), (d * d, d, 1)]
+
+
+def _add_wells(sums, start, stride, weight):
+    """Add weight to sums at start, start + stride, ... < len(sums) by rows."""
+    import numpy as np
+    count = (len(sums) - 1 - start) // stride + 1
+    long = count > _SHORT
+    # a memoryview yields the rows as ints without building lists
+    for s, d in zip(memoryview(start[long]), memoryview(stride[long])):
+        sums[s::d] += weight
+    start, stride, count = start[~long], stride[~long], count[~long]
+    ends = np.cumsum(count)
+    for lo in range(0, int(count.sum()), _BATCH):
+        i, j = np.searchsorted(ends, (lo, lo + _BATCH), "right").tolist()
+        s, d, c = start[i:j], stride[i:j], count[i:j]
+        # indices less base as a cumsum: d within a row, a jump to the next
+        base = int(s.min())
+        idx = np.repeat(d, c)
+        idx[np.cumsum(c) - c] = s - np.append(base, (s + (c - 1) * d)[:-1])
+        hits = np.bincount(np.cumsum(idx, out=idx)) * weight
+        sums[base:base + len(hits)] += hits
+
+
 def _wells_table(limit):
     """h*(D) for every -limit <= D < 0 as an int64 array indexed by |D|, 0
     where D is no discriminant."""
     import numpy as np
-    odd = np.zeros(limit + 1, np.int64)  # all-odd wells of n = |D|
-    even = np.zeros(limit // 4 + 1, np.int64)  # all wells of n = |D|/4
-    for sums, step in ((odd, 2), (even, 1)):
-        top = len(sums) - 1
-        g = 1
-        while 3 * g * g < top:
-            # ef+fg+ge = fg + e(f+g) over e > f > g
-            f = g + step
-            s = f * g + (f + step) * (f + g)
-            while s <= top:
-                sums[s::step * (f + g)] += 2
-                f += step
-                s = f * g + (f + step) * (f + g)
-            g += step
-        e = 1
-        while e * e + 2 * e <= top:  # e^2 + 2ef over f > 0
-            sums[e * e + 2 * e::2 * step * e] += 1
-            e += step
-    for f in range(1, isqrt(limit // 4) + 1):  # ef over e >= f
-        even[f * f::f] += 1
-    # all-odd sums are 3 mod 4, so the slots 0 mod 4 are free for even D
-    odd[::4] = even
-    return odd
+    out = np.zeros(limit + 1, np.int64)
+    for slots, top, step in ((out[3::4], limit, 2), (out[::4], limit // 4, 1)):
+        sums = np.zeros(len(slots), np.int64)
+        for start, stride, weight in _wells(top, step):
+            _add_wells(sums, start, stride, weight)
+        slots[:] = sums
+    return out
 
 
 def h_neg_table(limit):
     """h(D) for every discriminant -limit <= D < 0 in one shared sweep."""
     _check_limit(limit)
-    hstar = _wells_table(limit)
-    h = hstar.copy()
+    h = _wells_table(limit)
+    hstar = h[:limit // 4 + 1].copy()  # all of h* that k >= 2 reads
     for k in range(2, isqrt(limit) + 1):
-        mu = moebius_mu(k)
-        if mu:
+        if mu := moebius_mu(k):
             h[k * k::k * k] += mu * hstar[1:limit // (k * k) + 1]
-    h = h.tolist()
-    return {D: h[-D] for D in range(-limit, 0) if D % 4 in (0, 1)}
+    n = h.nonzero()[0][::-1]  # h >= 1 exactly at the discriminants
+    return dict(zip((-n).tolist(), h[n].tolist()))
 
 
 def hurwitz_table(nmax):
     """H(n) for every valid 0 < n <= nmax in one shared sweep."""
     _check_limit(nmax)
-    hstar = _wells_table(nmax).tolist()
+    hstar = _wells_table(nmax)
+    n = hstar.nonzero()[0]  # h* >= 1 exactly at the discriminants
+    counts = hstar[n].tolist()
     # one Fraction per distinct count, shared, since Fraction is immutable
-    frac = {c: Fraction(c) for c in set(hstar)}
-    out = {n: frac[hstar[n]] for n in range(1, nmax + 1) if n % 4 in (0, 3)}
+    frac = {c: Fraction(c) for c in set(counts)}
+    out = dict(zip(n.tolist(), map(frac.__getitem__, counts)))
     # the exceptional n = 3j^2 and 4j^2 of _hurwitz_weight, all 0 or 3 mod 4
     for c, w in _AUT_WEIGHTS:
         for j in range(1, isqrt(nmax // c) + 1):
-            out[c * j * j] = hstar[c * j * j] - 1 + w
+            out[c * j * j] = int(hstar[c * j * j]) - 1 + w
     return out

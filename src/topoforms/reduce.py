@@ -401,10 +401,12 @@ def omega_enumerate(D):
 def zstar_forms(D):
     """Zagier * forms [a, k-2a, c]: a,c > 0 and a+b+c < 0."""
     a, k, c = _omega(D)
-    return list(map(QuadForm, a.tolist(), (k - 2 * a).tolist(), c.tolist()))
+    rows = zip(a.tolist(), (k - 2 * a).tolist(), c.tolist())
+    return list(map(_quad_form, rows))
 
 
 def z_forms(D):
     """Zagier forms [a, 2a-k, c]: a,c > 0 and b > a+c."""
     a, k, c = _omega(D)
-    return list(map(QuadForm, a.tolist(), (2 * a - k).tolist(), c.tolist()))
+    rows = zip(a.tolist(), (2 * a - k).tolist(), c.tolist())
+    return list(map(_quad_form, rows))

@@ -222,8 +222,8 @@ def test_lr_decompose_below_the_axis():
 # ------------------------------------------------------------- the rest
 
 @pytest.mark.parametrize("call", [
-    lambda: hurwitz(0), lambda: r3_primitive(-1), lambda: r3_via_class(0),
-    lambda: r3p_via_class(0), lambda: upsilon(0), lambda: upsilon_odd(0),
+    lambda: hurwitz(0), lambda: r3_primitive(-1), lambda: r3_via_class(-1),
+    lambda: r3p_via_class(-1), lambda: upsilon(0), lambda: upsilon_odd(0),
     lambda: aut_structure(QuadForm(2, 2, 2)),
     lambda: aut_structure(QuadForm(2, 0, -6)),
     lambda: word_of(QuadForm(0, 2, 2)), lambda: word_of(QuadForm(1, 1, -1)),

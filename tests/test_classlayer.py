@@ -9,13 +9,18 @@ them exactly.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import gcd
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import mobius
 
-from topoforms.classnum import (euler_phi, h_neg, h_neg_table, h_pos,
+from topoforms import classnum
+from topoforms.classnum import (_BATCH, _SHORT, _wells, _wells_table,
+                                euler_phi, h_neg, h_neg_table, h_pos,
                                 hstar_neg, hurwitz, hurwitz_table, moebius_mu)
 from topoforms.exact import DomainError, Surd, is_square, isqrt, surd_floor
 from topoforms.forms import QuadForm, UniMat, act
@@ -97,6 +102,34 @@ def ref_h_neg_table(limit):
         elif m4 == 0:
             out[D] = 1 if D == -4 else even_h[-D // 4]
     return out
+
+
+def ref_wells_table(limit):
+    """h* of every -limit <= D < 0 as an int64 array indexed by |D|, by one
+    numpy slice add per progression of wells, found by nested loops."""
+    odd = np.zeros(limit + 1, np.int64)  # all-odd wells of n = |D|
+    even = np.zeros(limit // 4 + 1, np.int64)  # all wells of n = |D|/4
+    for sums, step in ((odd, 2), (even, 1)):
+        top = len(sums) - 1
+        g = 1
+        while 3 * g * g < top:
+            # ef+fg+ge = fg + e(f+g) over e > f > g
+            f = g + step
+            s = f * g + (f + step) * (f + g)
+            while s <= top:
+                sums[s::step * (f + g)] += 2
+                f += step
+                s = f * g + (f + step) * (f + g)
+            g += step
+        e = 1
+        while e * e + 2 * e <= top:  # e^2 + 2ef over f > 0
+            sums[e * e + 2 * e::2 * step * e] += 1
+            e += step
+    for f in range(1, isqrt(limit // 4) + 1):  # ef over e >= f
+        even[f * f::f] += 1
+    # all-odd sums are 3 mod 4, so the slots 0 mod 4 are free for even D
+    odd[::4] = even
+    return odd
 
 
 def ref_hstar_table(limit):
@@ -365,6 +398,66 @@ def test_tables_match_scalar_counts():
     for D in _discs_neg(LIMIT):
         assert type(h[D]) is int and h[D] == h_neg(D), D
         assert type(H[-D]) is Fraction and H[-D] == hurwitz(-D), D
+
+
+def _assert_wells_table(limit):
+    got, want = _wells_table(limit), ref_wells_table(limit)
+    assert got.dtype == np.int64 and np.array_equal(got, want), limit
+
+
+def test_wells_table_matches_slice_loop():
+    for limit in range(401):
+        _assert_wells_table(limit)
+
+
+def _bincounted(limit, step):
+    # the terms of the triples _wells_table counts by np.bincount for the
+    # all-odd (step 2) or the even-D wells of limit
+    top = limit if step == 2 else limit // 4
+    size = (limit + 1) // 4 if step == 2 else top + 1
+    start, stride, _ = _wells(top, step)[0]
+    count = (size - 1 - start) // stride + 1
+    return int(count[count <= _SHORT].sum())
+
+
+@cache
+def _kernel_boundaries(most=2 * 10 ** 5):
+    """Limits <= most where the kernel changes shape: where the progressions
+    of compact stride 1 to 4 first exceed _SHORT terms, and where the terms
+    bincounted in either class first reach a multiple of _BATCH."""
+    out = [4 * _SHORT * s for s in range(1, 5)]
+    for step in (1, 2):
+        k = 1
+        while _bincounted(most, step) >= k * _BATCH:
+            lo, hi = 0, most  # bisect for the least limit reaching k batches
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if _bincounted(mid, step) >= k * _BATCH:
+                    hi = mid
+                else:
+                    lo = mid
+            out.append(hi)
+            k += 1
+    return out
+
+
+@given(st.one_of(
+    st.integers(401, 2 * 10 ** 5),
+    st.builds(int.__add__, st.deferred(lambda: st.sampled_from(
+        _kernel_boundaries())), st.integers(-40, 40))))
+@settings(max_examples=30, deadline=None)
+def test_wells_table_matches_slice_loop_near_boundaries(limit):
+    _assert_wells_table(limit)
+
+
+@given(st.integers(0, 1500), st.integers(0, 40), st.integers(1, 60))
+@settings(max_examples=200, deadline=None)
+def test_wells_table_any_split(limit, short, extra):
+    # every split into slice adds and bincount batches counts the same; small
+    # batches put a row across a batch's end at most limits
+    with mock.patch.object(classnum, "_SHORT", short), \
+            mock.patch.object(classnum, "_BATCH", short + extra):
+        _assert_wells_table(limit)
 
 
 @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 5, 7, 8, 12, 16, 27, 48])

@@ -148,6 +148,15 @@ def test_r3_primitive_small_n(capsys):
             assert doc["count"] == count, (n, method)
 
 
+def test_r3_zero_agrees_across_methods(capsys):
+    # r3(0) = 1 counts (0, 0, 0), which is not primitive
+    for primitive, count in (([], "1"), (["--primitive"], "0")):
+        for method in ("brute", "class"):
+            doc = _json_out(capsys, ["r3", "--n", "0", *primitive,
+                                     "--method", method, "--json"])
+            assert doc["count"] == count, (primitive, method)
+
+
 def test_exit_codes(capsys):
     assert run([]) == 1  # no subcommand
     assert run(["reduce", "--form", "1,2"]) == 1  # malformed form
