@@ -28,11 +28,13 @@ on their river, or are reduced square-D forms, so the walk to it costs
 nothing here.
 
 The walk onto the river or into the well runs on big coefficients:
-`river_walk`, `reduce_simple_cycle` and `reduce_negative` on [1, 0, -2]
-and [1, 1, 1] (for `reduce_negative`) moved by n random blocks of 1 to 3
-turns, alternately L and R, seeded by n, for n = 10^3, 10^4 and 3 * 10^4,
-and 10^5 for the first two.  Each records the bits of the form's largest
-coefficient and n, as `bits` and `blocks`, and the median time per block.
+`river_walk`, `reduce_simple_cycle` and `find_river` on [1, 0, -2], and
+`reduce_negative` and `find_well` on [1, 1, 1], moved by n random blocks
+of 1 to 3 turns, alternately L and R, seeded by n, for n = 10^3, 10^4,
+3 * 10^4 and 10^5 (but `reduce_negative`).  `find_river` and `find_well`
+also build the path of the n blocks to the river or well.  Each records the
+bits of the form's largest coefficient and n, as `bits` and `blocks`, and
+the median time per block.
 """
 
 import random
@@ -47,8 +49,8 @@ from topoforms.reduce import reduce_negative, reduce_simple_cycle
 from topoforms.riverword import (necklace_of, negative_pell,
                                   pell_fundamental, principal_form,
                                   river_period, symmetry)
-from topoforms.topograph import (block_step, find_river, river_walk,
-                                 square_river_blocks, walk)
+from topoforms.topograph import (block_step, find_river, find_well,
+                                 river_walk, square_river_blocks, walk)
 
 DISCS = [1003033, 2000133, 100000037]
 READERS = {
@@ -184,7 +186,9 @@ def _far(form, blocks):
 
 FAR = {"river_walk": (river_walk, QuadForm(1, 0, -2)),
        "reduce_simple_cycle": (reduce_simple_cycle, QuadForm(1, 0, -2)),
-       "reduce_negative": (reduce_negative, QuadForm(1, 1, 1))}
+       "find_river": (find_river, QuadForm(1, 0, -2)),
+       "reduce_negative": (reduce_negative, QuadForm(1, 1, 1)),
+       "find_well": (find_well, QuadForm(1, 1, 1))}
 FAR_CASES = [pytest.param(walker, blocks, id=f"{walker}-{blocks}")
              for walker in FAR
              for blocks in (10 ** 3, 10 ** 4, 3 * 10 ** 4, 10 ** 5)

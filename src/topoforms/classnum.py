@@ -22,15 +22,15 @@ times a primitive class of D/k^2 for exactly one k, so the table of h is
     h(D) = sum of mu(k) h*(D/k^2) over k^2 | D with D/k^2 a discriminant.
 """
 
-from fractions import Fraction
 from math import gcd
 
 from .exact import DomainError, check_discriminant, is_square, isqrt
 from .reduce import reduced_forms, zagier_classes
 
 # H weighs the classes j[1,1,1] (|D| = 3j^2) and j[1,0,1] (|D| = 4j^2), which
-# h* counts once, by the inverse orders of their automorph groups modulo -1
-_AUT_WEIGHTS = ((3, Fraction(1, 3)), (4, Fraction(1, 2)))
+# h* counts once, by 1/d, d the order of their automorph groups modulo -1;
+# `fractions` loads on first use, as it costs every start of the CLI
+_AUT_WEIGHTS = ((3, 3), (4, 2))
 
 
 def _factor(m):
@@ -76,9 +76,10 @@ def _check_limit(limit):
 
 def _hurwitz_weight(n, count):
     """H(n) from the class count h*(-n)."""
-    for c, w in _AUT_WEIGHTS:
+    from fractions import Fraction
+    for c, d in _AUT_WEIGHTS:
         if n % c == 0 and is_square(n // c):
-            return count - 1 + w
+            return Fraction(count * d - d + 1, d)
     return Fraction(count)
 
 
@@ -173,9 +174,9 @@ def r3p_via_class(n):
     m = n % 8
     if m in (0, 4, 7):
         return 0
-    w = dict(_AUT_WEIGHTS)
-    h = w.get(4 * n, h_neg(-4 * n)) - (w.get(n, h_neg(-n)) if m == 3 else 0)
-    return int(12 * h)
+    w = {c: 12 // d for c, d in _AUT_WEIGHTS}  # 12 times the weight
+    return (w.get(4 * n, 12 * h_neg(-4 * n))
+            - (w.get(n, 12 * h_neg(-n)) if m == 3 else 0))
 
 
 def upsilon(n):
@@ -183,6 +184,7 @@ def upsilon(n):
     weighted 1/2."""
     if n <= 0:
         raise DomainError("needs n >= 1")
+    from fractions import Fraction
     total = Fraction(0)
     for e in range(0, n + 1):
         fmax = n if e == 0 else n // e
@@ -289,6 +291,7 @@ def h_neg_table(limit):
 
 def hurwitz_table(nmax):
     """H(n) for every valid 0 < n <= nmax in one shared sweep."""
+    from fractions import Fraction
     _check_limit(nmax)
     hstar = _wells_table(nmax)
     n = hstar.nonzero()[0]  # h* >= 1 exactly at the discriminants
@@ -297,7 +300,7 @@ def hurwitz_table(nmax):
     frac = {c: Fraction(c) for c in set(counts)}
     out = dict(zip(n.tolist(), map(frac.__getitem__, counts)))
     # the exceptional n = 3j^2 and 4j^2 of _hurwitz_weight, all 0 or 3 mod 4
-    for c, w in _AUT_WEIGHTS:
+    for c, _ in _AUT_WEIGHTS:
         for j in range(1, isqrt(nmax // c) + 1):
-            out[c * j * j] = int(hstar[c * j * j]) - 1 + w
+            out[c * j * j] = _hurwitz_weight(c * j * j, int(hstar[c * j * j]))
     return out

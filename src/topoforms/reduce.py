@@ -129,14 +129,14 @@ def reduce_simple_cycle(q):
     D = q.discriminant()
     if D <= 0 or is_square(D):
         raise DomainError("reduce_simple_cycle needs non-square D > 0")
-    root, word, forms = river_walk(q)
+    root, word, starts = river_walk(q)
     # rule 1: the block starts, but the entry where the period from it
     # wraps inside a block
     first = int(word[0][0] == word[-1][0])
-    i = forms.index(min(forms[first:]), first)
+    i = starts.index(min(starts[first:]), first)
     steps = root + word[:i]
-    return ReductionResult(forms[i:] + forms[first:i],
-                           turn_sequence_matrix(steps), steps)
+    cycle = tuple(map(_quad_form, starts[i:] + starts[first:i]))
+    return ReductionResult(cycle, turn_sequence_matrix(steps), steps)
 
 
 # ------------------------------------------------------- Gauss and Zagier

@@ -39,9 +39,9 @@ from .forms import QuadForm
 from .reduce import (_primes, _class_rivers, divisor_rows, reduced_forms,
                      z_forms, zagier_cycle, zstar_forms)
 from .riverword import epsilon
-from .topograph import (_LABEL_MAX, EdgeCursor, RiverEdges, TurnPath,
-                        _batches, _levels, _river_runs, ball_levels,
-                        find_river, square_reduction, square_river_blocks)
+from .topograph import (_LABEL_MAX, EdgeCursor, RiverEdges, _batches,
+                        _levels, _river_runs, ball_levels, find_river,
+                        square_reduction, square_river_blocks)
 
 # the two Poincare-series evaluations the identities rest on
 POINCARE_ALL_ONES = 3 * pi / 2
@@ -222,10 +222,10 @@ def hurwitz_series(D, depth):
     for a, b, c in reduced_forms(D):
         # j[1,1,1] and j[1,0,1] are the reduced forms with a = c and
         # |D| = 3a^2 or 4a^2
-        w = next((w for k, w in _AUT_WEIGHTS
-                  if a == c and k * a * a == -D), 1)
+        w = next((3 / d for k, d in _AUT_WEIGHTS
+                  if a == c and k * a * a == -D), 3.0)
         s1, _, n = _neg_scan(QuadForm(a, b, c), [depth])[depth]
-        total.append(float(3 * w) * s1)
+        total.append(w * s1)
         terms += n
     value = (-D) ** 1.5 / (12 * pi) * fsum(total)
     target = float(hurwitz(-D))
@@ -330,8 +330,8 @@ def series_square(q, depth):
     s_res = pow(r, -1, m) if m > 1 and g0 == 1 else r
     # the middle edge of a view, as find_river's, over the square walk's own
     # blocks from the lake edge [r, -m, 0] = q0|S; or else that lake edge
-    _, word, forms = square_river_blocks(q0)
-    edges = RiverEdges(_river_runs(word, forms, TurnPath()), 1)
+    _, word, starts = square_river_blocks(q0)
+    edges = RiverEdges(_river_runs((), word, starts)[0], 1)
     root = edges[edges.turns // 2] if edges else EdgeCursor(QuadForm(r, -m, 0))
     sums1, sums2, terms = _group_sums(partial(_square_terms, m),
                                       ball_levels(root), depth, depth + 1)

@@ -26,6 +26,9 @@ from .forms import QuadForm, _run_product
 class TurnPath:
     """An immutable sequence of turns stored as runs, each run a node that
     shares the path it extends: `then` is O(1) and never copies the prefix.
+    A node may also stand for the first n runs of a shared tuple of maximal
+    runs, as `turn_path` and a river's edges build it: one node for a whole
+    walk, whose `prefix` is made only when read.
 
     It iterates its turns and has a length; it compares and hashes by its
     maximal runs, in time linear in their number, so that
@@ -33,21 +36,32 @@ class TurnPath:
     gives its turns.
     """
 
-    __slots__ = ("prefix", "turn", "count", "_len")
+    # _runs is None, or the shared runs, of which the node holds the first _n
+    __slots__ = ("_prefix", "turn", "count", "_len", "_runs", "_n")
 
     def __init__(self, prefix=None, turn=None, count=0):
-        self.prefix = prefix  # the TurnPath this run extends, or None
+        self._prefix = prefix
         self.turn = turn
         self.count = count
         self._len = count + (prefix._len if prefix is not None else 0)
+        self._runs = None
+
+    @property
+    def prefix(self):
+        """The TurnPath this node's run extends, or None."""
+        if self._runs is None:
+            return self._prefix
+        return _run_node(self._runs, self._n - 1, self._len - self.count)
 
     @staticmethod
     def of(turns):
         return turn_path((turn, 1) for turn in turns)
 
     def then(self, turn, count=1):
-        """This path followed by `count` copies of `turn`."""
-        if count == 0:
+        """This path followed by `count` copies of `turn`, count >= 0."""
+        if count <= 0:
+            if count:
+                raise DomainError("a path cannot take a negative count")
             return self
         if turn == self.turn:
             return TurnPath(self.prefix, turn, self.count + count)
@@ -59,15 +73,17 @@ class TurnPath:
     def runs(self):
         """The path as maximal (turn, count) runs, first to last: a node
         built directly on a run of the same turn is merged into it."""
-        runs = []
+        nodes = []
         node = self
-        while node is not None:
+        while node is not None and node._runs is None:
+            nodes.append(node)
+            node = node._prefix
+        runs = [] if node is None else list(node._runs[:node._n])
+        for node in reversed(nodes):
             if runs and runs[-1][0] == node.turn:
                 runs[-1] = (node.turn, runs[-1][1] + node.count)
             elif node.count:
                 runs.append((node.turn, node.count))
-            node = node.prefix
-        runs.reverse()
         return runs
 
     def __iter__(self):
@@ -443,13 +459,38 @@ def walk(form, letter, stop, cap=None):
     raise AssertionError("block walk failed to stop within its cap")
 
 
+def _maximal_runs(word):
+    # the turns of a block word as maximal (turn, count) runs, and their sum
+    runs, last, n = [], None, 0
+    for letter, k in word:
+        if k < 0:
+            letter, k = letter + "i", -k
+        elif not k:
+            continue
+        n += k
+        if letter == last:
+            runs[-1] = (letter, runs[-1][1] + k)
+        else:
+            runs.append((letter, k))
+            last = letter
+    return runs, n
+
+
+def _run_node(runs, n, length):
+    # the first n of the maximal runs, which take `length` turns, as a node
+    if not n:
+        return TurnPath()
+    node = object.__new__(TurnPath)
+    node.turn, node.count = runs[n - 1]
+    node._len, node._runs, node._n = length, runs, n
+    return node
+
+
 def turn_path(word):
     """The turns of a block word as a TurnPath: (L, k) is k turns L, or |k|
     turns Li for k < 0, and likewise for R; (S, 1) is S."""
-    path = TurnPath()
-    for letter, k in word:
-        path = path.then(letter if k > 0 else letter + "i", abs(k))
-    return path
+    runs, n = _maximal_runs(word)
+    return _run_node(tuple(runs), len(runs), n)
 
 
 def _enters_fprime(a, b, c, letter, k):
@@ -491,15 +532,20 @@ def find_well(q):
 
 
 class RiverWalk(NamedTuple):
-    """A river as blocks (letter, k), block i of `word` starting at
-    forms[i]: from lake to lake for square D; for non-square D > 0 the
-    period from the entry forms[0], the first simple form (a > 0 > c) a
-    block ends on, which the period fixes, after the blocks of `root`.
-    It is the one river object, which every river reader takes as walked."""
+    """A river as blocks (letter, k), block i of `word` starting at the int
+    triple starts[i]: from lake to lake for square D; for non-square D > 0
+    the period from the entry starts[0], the first simple form (a > 0 > c)
+    a block ends on, which the period fixes, after the blocks of `root`.
+    It is the one river object, which every river reader takes as walked;
+    `forms` gives the starts as QuadForms."""
 
     root: tuple
     word: tuple
-    forms: tuple
+    starts: tuple
+
+    @property
+    def forms(self):
+        return tuple(map(_quad_form, self.starts))
 
 
 def _to_lake(form, m):
@@ -550,8 +596,8 @@ def square_river_blocks(q0):
     m/r from the lake edge [r, -m, 0] = q0|S, as a `RiverWalk` with no
     root; its first and last unit turns cross from and onto the lakes."""
     _, m, r = q0
-    word, forms, _ = _to_lake((r, -m, 0), m)
-    return RiverWalk((), tuple(word), tuple(map(_quad_form, forms)))
+    word, starts, _ = _to_lake((r, -m, 0), m)
+    return RiverWalk((), tuple(word), tuple(starts))
 
 
 def river_walk(q):
@@ -566,7 +612,7 @@ def river_walk(q):
     D = q.discriminant()
     if D <= 0 or is_square(D):
         raise DomainError("the block walk needs non-square D > 0")
-    forms = []  # the river blocks' first forms, from the entry on
+    starts = []  # the river blocks' first forms, from the entry on
     a0 = b0 = c0 = None  # the entry
 
     def passes_entry(a, b, c, letter, k):
@@ -574,7 +620,7 @@ def river_walk(q):
         if a0 is None:  # on the root path
             if a > 0 > c:
                 a0, b0, c0 = a, b, c
-                forms.append(_quad_form((a, b, c)))
+                starts.append((a, b, c))
             return None
         # an L block keeps a and adds 2a to b at each turn, an R block keeps
         # c and adds 2c; it passes the entry when the entry lies on that line
@@ -587,16 +633,16 @@ def river_walk(q):
             back, off = divmod(b0 - b, inc)
             if off == 0 and -k < back <= 0:
                 return back
-        forms.append(_quad_form((a, b, c)))
+        starts.append((a, b, c))
         return None
 
     a, b, c = q
     # a simple q starts with the letter it does not turn: a zero block
     word, _ = walk(q, "R" if a > 0 > c and a + b + c < 0 else "L",
                    passes_entry)
-    n = len(word) - len(forms)
+    n = len(word) - len(starts)
     return RiverWalk(tuple([x for x in word[:n] if x[1]]), tuple(word[n:]),
-                     tuple(forms))
+                     tuple(starts))
 
 
 def period_blocks(q):
@@ -605,8 +651,9 @@ def period_blocks(q):
     `form`, in river order, each turning the other way before and after
     it.  Where `river_walk`'s period wraps inside a run, the two parts are
     joined."""
-    _, word, forms = river_walk(q)
-    blocks = [(letter, k, f) for (letter, k), f in zip(word, forms)]
+    _, word, starts = river_walk(q)
+    blocks = [(letter, k, _quad_form(f))
+              for (letter, k), f in zip(word, starts)]
     if blocks[0][0] == blocks[-1][0]:
         letter, k, f = blocks.pop()
         blocks[0] = (letter, k + blocks[0][1], f)
@@ -614,32 +661,41 @@ def period_blocks(q):
 
 
 class _RiverRuns(NamedTuple):
-    # a river's blocks of k > 0 turns: block i takes letters[i] for turns
-    # offsets[i] .. offsets[i + 1] - 1 of the river, from forms[i], and
-    # paths[i] is the path to its first edge
+    # a river's blocks of k > 0 turns after the path to it, all as maximal
+    # runs `runs`: block i takes letters[i] for turns offsets[i] ..
+    # offsets[i + 1] - 1 of the path from starts[i], an int triple, as run
+    # len(runs) - len(letters) + i
     letters: list
     offsets: list
-    forms: list
-    paths: list
-
-    def __reduce__(self):
-        # rebuilt from the blocks: the paths share their prefixes, which a
-        # pickle of each path by runs would copy once per block
-        letters, offsets, forms, paths = self
-        word = zip(letters, map(operator.sub, offsets[1:], offsets))
-        return _river_runs, (list(word), forms, paths[0])
+    starts: list
+    runs: tuple
 
 
-def _river_runs(word, forms, path):
-    letters, offsets, kept, paths = [], [0], [], []
-    for (letter, k), form in zip(word, forms):
-        if k:
-            letters.append(letter)
-            offsets.append(offsets[-1] + k)
-            kept.append(form)
-            paths.append(path)
-            path = path.then(letter, k)
-    return _RiverRuns(letters, offsets, kept, paths)
+def _river_runs(path, word, starts):
+    """The blocks `word` from `starts`, after the block word `path`, as a
+    _RiverRuns, and the turns of the path.  A block that continues the run
+    before it joins it: the first from that run's first form."""
+    runs, n = _maximal_runs(path)
+    lo = n
+    letters, offsets, kept = [], [], []
+    for (letter, k), form in zip(word, starts):
+        if not k:
+            continue
+        n += k
+        if runs and runs[-1][0] == letter:
+            j = runs.pop()[1]
+            runs.append((letter, j + k))
+            if letters:
+                continue
+            form = _block(*form, letter, -j)
+            k += j
+        else:
+            runs.append((letter, k))
+        letters.append(letter)
+        offsets.append(n - k)
+        kept.append(form)
+    offsets.append(n)
+    return _RiverRuns(letters, offsets, kept, tuple(runs)), lo
 
 
 class _RiverView(Sequence):
@@ -648,7 +704,7 @@ class _RiverView(Sequence):
     # (t0, t1) in order where turns t0 .. t1 - 1, in lo .. hi - 1, equal x
     __slots__ = ("_runs", "_lo", "_len")
 
-    def __init__(self, runs, lo=0, hi=None):
+    def __init__(self, runs, lo, hi=None):
         self._runs = runs
         self._lo = lo
         self._len = max((runs.offsets[-1] if hi is None else hi) - lo, 0)
@@ -753,35 +809,38 @@ class RiverEdges(_RiverView):
     __slots__ = ()
 
     def _item(self, i, j):
-        letters, _, forms, paths = self._runs
-        form = _quad_form(_block(*forms[i], letters[i], j))
-        return tuple.__new__(EdgeCursor, (form, paths[i].then(letters[i], j)))
+        letters, offsets, starts, runs = self._runs
+        form = _quad_form(_block(*starts[i], letters[i], j))
+        # the path to the block is the runs before it
+        path = _run_node(runs, len(runs) - len(letters) + i, offsets[i])
+        return tuple.__new__(EdgeCursor, (form, path.then(letters[i], j)))
 
     def _find(self, edge, lo, hi):
         if isinstance(edge, EdgeCursor) and isinstance(edge.path, TurnPath):
-            t = edge.path._len - self._runs.paths[0]._len
+            t = edge.path._len
             if lo <= t < hi and self[t - self._lo] == edge:
                 yield t, t + 1
 
     def __iter__(self):
         # one loop per letter, so no edge tests its letter, stepping (a, b, c)
-        # inline; the path to edge j of block i is paths[i].then(letter, j)
+        # inline; the path to edge j of a block is a node of j turns on the
+        # runs before the block, whose last run turns the other way
         new = tuple.__new__
-        letters, _, _, paths = self._runs
+        letters = self._runs.letters
         for i, j0, j1 in self._spans():
-            then = paths[i].then
-            (a, b, c), _ = edge = self._item(i, j0)
+            (a, b, c), path = edge = self._item(i, j0)
+            before = path.prefix if j0 else path
             yield edge
             if letters[i] == "L":
                 for j in range(j0 + 1, j1):
                     b, c = b + 2 * a, a + b + c
                     yield new(EdgeCursor, (new(QuadForm, (a, b, c)),
-                                           then("L", j)))
+                                           TurnPath(before, "L", j)))
             else:
                 for j in range(j0 + 1, j1):
                     a, b = a + b + c, b + 2 * c
                     yield new(EdgeCursor, (new(QuadForm, (a, b, c)),
-                                           then("R", j)))
+                                           TurnPath(before, "R", j)))
 
 
 def _repeat(item, k):
@@ -825,19 +884,20 @@ def find_river(q):
         # the edges of the river from the lake edge [0, m, r]|S are the forms
         # after every unit turn but the last, which crosses onto the lake
         steps, q0 = square_reduction(q)
-        _, word, forms = square_river_blocks(q0)
-        runs = _river_runs(word, forms, turn_path(steps).then("S"))
-        return RiverDescriptor("finite", RiverEdges(runs, 1),
-                               RiverWord(runs, 1, runs.offsets[-1] - 1))
+        _, word, starts = square_river_blocks(q0)
+        runs, lo = _river_runs(steps + [("S", 1)], word, starts)
+        return RiverDescriptor("finite", RiverEdges(runs, lo + 1),
+                               RiverWord(runs, lo + 1, runs.offsets[-1] - 1))
     # the period from the first simple form on q's first root's path: the
     # entry, or, where the root's last block turned forward with the letter
     # of the period's last block, that block's first form
-    root, word, forms = river_walk(q)
+    root, word, starts = river_walk(q)
     if root and root[-1][1] > 0 and root[-1][0] == word[-1][0]:
         root = root[:-1] + ((root[-1][0], root[-1][1] - word[-1][1]),)
-        word, forms = word[-1:] + word[:-1], forms[-1:] + forms[:-1]
-    runs = _river_runs(word, forms, turn_path(root))
-    return RiverDescriptor("periodic", RiverEdges(runs), RiverWord(runs))
+        word, starts = word[-1:] + word[:-1], starts[-1:] + starts[:-1]
+    runs, lo = _river_runs(root, word, starts)
+    return RiverDescriptor("periodic", RiverEdges(runs, lo),
+                           RiverWord(runs, lo))
 
 
 _JSON_VERTEX = """\

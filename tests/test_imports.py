@@ -92,3 +92,20 @@ def test_lazy_names_resolve_and_are_listed():
         getattr(topoforms, name)
     with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
         topoforms.nonesuch
+
+
+@pytest.mark.parametrize("argv", [None, "reduce --form 1,1,-1"])
+def test_fractions_loads_on_first_use(argv):
+    # the Hurwitz weights and values are Fractions, built where they are
+    # asked for: neither the import nor an exact subcommand loads the module
+    code = "import json, sys, topoforms\n"
+    if argv:
+        code += ("from topoforms import cli\n"
+                 f"assert cli.run({argv.split()!r}) == 0\n")
+    code += ("print(json.dumps(['fractions' in sys.modules]))\n")
+    assert _fresh(code) == [False]
+    code += ("from fractions import Fraction\n"
+             "values = [topoforms.hurwitz(12), topoforms.upsilon(5),\n"
+             "          topoforms.hurwitz_table(20)[3]]\n"
+             "print(json.dumps([type(v) is Fraction for v in values]))\n")
+    assert _fresh(code) == [True, True, True]

@@ -1,5 +1,7 @@
 """TurnPath equality by runs, copies and pickles of long paths and rivers,
-and units beyond float range."""
+and units beyond float range.  `turn_path` builds one node over a shared
+tuple of runs; it must equal the chain of one `then` per block it
+replaced, in every way a path is read."""
 
 import copy
 import json
@@ -8,11 +10,64 @@ import pickle
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from topoforms.cli import run
+from topoforms.exact import DomainError
 from topoforms.forms import QuadForm
 from topoforms.riverword import pell_fundamental, principal_form
-from topoforms.topograph import TurnPath, find_river, find_well
+from topoforms.topograph import TurnPath, find_river, find_well, turn_path
+
+
+def ref_turn_path(word):
+    """The path of a block word by one `then` per block."""
+    path = TurnPath()
+    for letter, k in word:
+        path = path.then(letter if k > 0 else letter + "i", abs(k))
+    return path
+
+
+def _nodes(path):
+    nodes = []
+    while path.prefix is not None:
+        nodes.append((path.turn, path.count))
+        path = path.prefix
+    return nodes[::-1]
+
+
+BLOCKS = st.lists(st.tuples(st.sampled_from("LRS"), st.integers(-3, 3)),
+                  max_size=12)
+
+
+@given(BLOCKS, st.sampled_from(["L", "R", "S", "Li", "Ri"]),
+       st.integers(0, 3))
+@settings(max_examples=300, deadline=None)
+def test_turn_path_equals_the_block_chain(word, turn, count):
+    for got, ref in ((turn_path(word), ref_turn_path(word)),
+                     (turn_path(word).then(turn, count),
+                      ref_turn_path(word).then(turn, count))):
+        assert got == ref and not got != ref and hash(got) == hash(ref)
+        assert len(got) == len(ref) and got.runs() == ref.runs()
+        assert tuple(got) == tuple(ref) and repr(got) == repr(ref)
+        assert _nodes(got) == _nodes(ref) == got.runs()
+        for again in (copy.copy(got), copy.deepcopy(got),
+                      pickle.loads(pickle.dumps(got))):
+            assert type(again) is TurnPath and again == ref
+            assert again.runs() == ref.runs() and hash(again) == hash(ref)
+
+
+def test_then_refuses_a_negative_count():
+    for path in (TurnPath(), TurnPath().then("L", 3), TurnPath.of("LLR"),
+                 turn_path([("L", 5)])):
+        for turn in ("L", "R"):
+            with pytest.raises(DomainError, match="negative count"):
+                path.then(turn, -1)
+            with pytest.raises(DomainError, match="negative count"):
+                path.then(turn, -2)
+        assert path.then("L", 0) is path
+    # turn_path still takes k < 0 as |k| inverse turns
+    assert turn_path([("L", -2)]) == TurnPath().then("Li", 2)
+    assert TurnPath().then("L", 5) != TurnPath().then("L", 3)
 
 
 def test_adjacent_equal_runs_merge():
