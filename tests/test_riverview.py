@@ -11,6 +11,7 @@ one unit turn at a time on q's roots, not from the block walk `find_river`
 runs.
 """
 
+import random
 import time
 from itertools import groupby, islice, repeat
 
@@ -19,11 +20,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from topoforms.exact import is_square
 from topoforms.forms import QuadForm
+from topoforms.riverword import principal_form
 from topoforms.topograph import (EdgeCursor, TurnPath, block_step,
                                  find_river, square_reduction,
                                  square_river_blocks, turn_path)
 
 from test_blockwalk import ref_find_river as ref_unit_river
+from test_turnpath import ref_turn_path
 
 
 # ------------------------------------------------------------- reference
@@ -62,6 +65,20 @@ def ref_find_river(q):
     edges, letters = ref_unit_edges(runs, anchor, TurnPath.of(path))
     assert [(e.form, tuple(e.path)) for e in edges] == unit_edges
     return "periodic", tuple(edges), tuple(letters)
+
+
+def ref_block_paths(q):
+    """The path of every edge of q's periodic river as a chain of one
+    `then` per block: of the unit walk's path to its first edge, then of
+    the river's runs, each edge's node on its block's start path."""
+    unit_edges, unit_word = ref_unit_river(q)
+    anchor, path = unit_edges[0]
+
+    def blocks(turns):
+        return [(turn, len(list(g))) for turn, g in groupby(turns)]
+    edges, _ = ref_unit_edges(blocks(unit_word), anchor,
+                              ref_turn_path(blocks(path)))
+    return [e.path for e in edges]
 
 
 def replay(q, path):
@@ -269,3 +286,28 @@ def test_edge_search_on_a_huge_block():
     assert list(islice(reversed(edges), 3)) == [edges[-1], edges[-2],
                                                 edges[-3]]
     assert time.perf_counter() - start < 0.1
+
+
+def _far(form, blocks):
+    # the form moved by `blocks` random blocks of 1 to 3 turns, seeded
+    rng = random.Random(blocks)
+    for i in range(blocks):
+        form = block_step(form, "LR"[i % 2], rng.randint(1, 3))
+    return form
+
+
+@pytest.mark.parametrize("q", [_far(QuadForm(1, 0, -2), 600),
+                               _far(QuadForm(1, 0, -2), 1500),
+                               principal_form(1003033)],
+                         ids=["far600", "far1500", "D1003033"])
+def test_edge_paths_equal_the_per_block_chain(q):
+    # a path of 1,500 root blocks and a river of 5,590 edges: each edge's
+    # path, read off the river's shared runs, is the chain built block by
+    # block, iterated or indexed
+    ref = ref_block_paths(q)
+    edges = find_river(q).edges
+    assert len(edges) == len(ref)
+    for i, (e, r) in enumerate(zip(edges, ref)):
+        for path in (e.path, edges[i].path):
+            assert path == r and hash(path) == hash(r) and len(path) == len(r)
+            assert path.runs() == r.runs() == _nodes(r)
