@@ -79,6 +79,10 @@ def _check_depth(depth):
 # ------------------------------------------------------------- level terms
 
 _CHUNK = 1 << 13  # edges per batch of the kernel, to stay in cache
+# The kernels below work their arrays in place and drop each as soon as it
+# is read, so that a batch's scratch stays well below the free space at the
+# top of the heap that malloc hands back to the system: scratch handed back
+# is faulted in again, page by page, by the next batch or call.
 
 
 def _exact_parts(t, g=0, parts=None):
@@ -103,11 +107,17 @@ def _exact_parts(t, g=0, parts=None):
     emin = int(e.min(initial=emax))
     span = emax - emin + 1
     # one bucket per row, group and exponent; only the nonzero are kept
-    idx = (g * (rows * span) + e + (np.arange(rows) * span - emin
-                                    - gmin * rows * span)[:, None]).reshape(-1)
-    sums = np.stack([np.bincount(idx, w.reshape(-1), keys * span)
-                     for w in (h, m)], -1).reshape(keys, 2 * span)
-    sums = np.ldexp(sums, np.arange(emin - 27, emin - 27 + span).repeat(2))
+    idx = e.astype(np.int64)
+    del e
+    idx += (np.arange(rows) * span - emin - gmin * rows * span)[:, None]
+    idx += g * (rows * span)
+    idx = idx.reshape(-1)
+    sums = np.empty((keys * span, 2))
+    for col, w in enumerate((h, m)):
+        sums[:, col] = np.bincount(idx, w.reshape(-1), keys * span)
+    del idx, h, m
+    sums = sums.reshape(keys, 2 * span)
+    np.ldexp(sums, np.arange(emin - 27, emin - 27 + span).repeat(2), out=sums)
     nz = sums != 0
     vals = sums[nz].tolist()
     ends = np.cumsum(nz.sum(1)).tolist()
@@ -126,8 +136,10 @@ def _group_sums(terms, levels, depth, groups, trees=False):
     with np.errstate(over="ignore"):
         for g, *labels in _batches(levels, depth, _CHUNK, trees):
             t = terms(*labels)
-            _exact_parts(t, g, parts)
+            del labels
             n += int(np.count_nonzero(t[0]))
+            _exact_parts(t, g, parts)
+            del g, t  # before the next batch is made
     sums = [fsum(p) for p in parts]
     return sums[0::2], sums[1::2], n
 
@@ -151,23 +163,37 @@ def _definite_terms(a, b, c):
     """1/|p| and |a+c+h|/(p p) with p = a c h at the head vertex (a, c, h),
     h = a+b+c, of each edge (a, b, c): the terms of the definite sums."""
     h = a + b + c
-    fa, fc, fh, s = _floats(a, c, h, a + c + h)
-    p = np.abs(fa * fc * fh)
+    p, fc, fh, s = _floats(a, c, h, a + c + h)
+    del h
+    p *= fc
+    p *= fh
+    del fc, fh
+    np.abs(p, out=p)
     t = np.empty((2, len(a)))
     np.divide(1.0, p, out=t[0])
-    np.divide(np.abs(s), _finite(p * p), out=t[1])
+    p *= p
+    np.divide(np.abs(s, out=s), _finite(p), out=t[1])
     return t
 
 
 def _edge_terms(x, y, z, s, k):
     """k1/|p| and k2 |s|/(p p) + k3/(3 (p p p)) with p = x y z, for label
     arrays: the edge terms of the river and square sums."""
-    fx, fy, fz, fs = _floats(x, y, z, s)
-    p = np.abs(fx * fy * fz)
-    p2 = p * p
+    p, fy, fz, fs = _floats(x, y, z, s)
+    p *= fy
+    p *= fz
+    del fy, fz
+    np.abs(p, out=p)
     t = np.empty((2, len(x)))
     np.divide(k[0], p, out=t[0])
-    t[1] = k[1] * np.abs(fs) / p2 + k[2] / _finite(3 * (p2 * p))
+    p2 = p * p
+    np.abs(fs, out=fs)
+    fs *= k[1]
+    fs /= p2
+    p2 *= p
+    p2 *= 3
+    np.divide(k[2], _finite(p2), out=p2)
+    np.add(fs, p2, out=t[1])
     return t
 
 
@@ -304,8 +330,11 @@ def _square_terms(m, a, b, c):
     # region whose sign the other two do not share
     et = np.where(n2 == n3, e, np.where(n1 == n3, f, g))[river]
     x, = _floats(np.abs(et))
+    del r3, n1, n2, n3, et
     # the edge term on out labels 1 at the few lake and river vertices
-    e, f, g = (np.where(lake | river, 1, y) for y in (e, f, g))
+    ones = lake | river
+    for y in (e, f, g):
+        y[ones] = 1
     t = _edge_terms(e, f, g, e + f + g, (m3, float(m ** 5), float(m ** 9)))
     t[:, lake] = 0.0
     u = float(m) / x

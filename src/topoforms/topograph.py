@@ -209,6 +209,7 @@ def _levels(a, b, c):
             a, b, c, h, bl, br = (x.astype(object)
                                   for x in (a, b, c, h, bl, br))
         a, b, c = _interleave(a, h), _interleave(bl, br), _interleave(h, c)
+        del h, bl, br  # a waiting generator holds only the level it gave
 
 
 def ball_levels(root):
@@ -239,9 +240,13 @@ def _batches(levels, depth, size, trees=False, first=0, start=0):
         i = start << level - first  # the index of the run's first edge
         runs.append((np.arange(i, i + len(a)) >> level if trees
                      else np.full(len(a), level), a, b, c))
+    deeper = first + len(runs) <= depth
     if runs:
-        yield tuple(map(np.concatenate, zip(*runs)))
-    if first + len(runs) > depth:
+        # the runs go before the batch is read: one copy of it at a time
+        batch, runs = tuple(map(np.concatenate, zip(*runs))), None
+        yield batch
+        del batch
+    if not deeper:
         return
     for i in range(0, len(a), size):
         yield from _batches(_levels(a[i:i + size], b[i:i + size],
